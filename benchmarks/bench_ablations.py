@@ -1,6 +1,6 @@
 """Ablation benches: the design-choice studies of DESIGN.md.
 
-Also benchmarks the incremental vs rescan scan kernels head-to-head.
+Also benchmarks the rescan and bisection threshold searches head-to-head.
 """
 
 import numpy as np
@@ -10,8 +10,7 @@ from repro.analysis.ablations import (
     ablation_a2_knapsack_backend,
     ablation_a3_scan_strategy,
 )
-from repro.core import m_partition_rebalance
-from repro.core.partition_incremental import m_partition_rebalance_incremental
+from repro.core import RebalanceEngine, m_partition_rebalance
 from repro.workloads import random_instance
 
 
@@ -52,7 +51,7 @@ def test_rescan_kernel(benchmark):
     assert result.num_moves <= k
 
 
-def test_incremental_kernel(benchmark):
+def test_bisection_kernel(benchmark):
     inst, k = _skewed()
-    result = benchmark(m_partition_rebalance_incremental, inst, k)
+    result = benchmark(lambda: RebalanceEngine(k).rebalance(inst))
     assert result.num_moves <= k

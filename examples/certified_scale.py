@@ -22,12 +22,12 @@ import numpy as np
 
 from repro.core import (
     Instance,
+    RebalanceEngine,
     certify,
     greedy_rebalance,
     m_partition_rebalance,
     unit_rebalance_exact,
 )
-from repro.core.partition_incremental import m_partition_rebalance_incremental
 from repro.workloads import planted_imbalance_instance
 
 N, M, K = 100_000, 128, 5_000
@@ -47,7 +47,7 @@ print(f"closed-form optimum  : {oracle.makespan:.0f}   ({t_oracle * 1e3:.0f} ms)
 for name, fn in (
     ("greedy", greedy_rebalance),
     ("m-partition", m_partition_rebalance),
-    ("m-partition-incr", m_partition_rebalance_incremental),
+    ("engine-bisection", lambda inst, k: RebalanceEngine(k).rebalance(inst)),
 ):
     t0 = time.perf_counter()
     res = fn(inst, K)

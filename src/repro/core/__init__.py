@@ -18,7 +18,7 @@ plus the shared data model (:class:`Instance`, :class:`Assignment`,
 threshold enumeration, knapsack subroutines).
 """
 
-from .assignment import Assignment
+from .assignment import Assignment, InvariantError
 from .certify import Certificate, certify
 from .cost_partition import cost_partition_rebalance, evaluate_cost_guess
 from .engine import EngineStats, RebalanceEngine
@@ -46,7 +46,6 @@ from .partition import (
     m_partition_rebalance,
     partition_rebalance,
 )
-from .partition_incremental import m_partition_rebalance_incremental
 from .unit_jobs import unit_rebalance_exact
 from .ptas import PTASLimits, ptas_rebalance
 from .result import RebalanceResult
@@ -68,6 +67,7 @@ __all__ = [
     "GuessEvaluation",
     "HAS_MILP",
     "Instance",
+    "InvariantError",
     "Job",
     "KnapsackSolution",
     "ProcessorTable",
@@ -90,7 +90,6 @@ __all__ = [
     "keep_max_cost_exact",
     "keep_max_cost_fptas",
     "m_partition_rebalance",
-    "m_partition_rebalance_incremental",
     "make_instance",
     "max_job_bound",
     "milp_rebalance",
@@ -108,26 +107,15 @@ __all__ = [
 def _register_extras() -> None:
     """Expose the extension solvers through :func:`rebalance` dispatch."""
 
-    def _incremental(instance, k=None, budget=None, **kwargs):
-        if k is None:
-            if not instance.is_unit_cost:
-                raise ValueError("m-partition-incremental needs a move budget k")
-            k = int(budget)
-        return m_partition_rebalance_incremental(instance, k, **kwargs)
-
     def _unit(instance, k=None, budget=None, **kwargs):
         if k is None:
             k = int(budget)
         return unit_rebalance_exact(instance, k, **kwargs)
 
-    for _name, _fn in (
-        ("m-partition-incremental", _incremental),
-        ("unit-exact", _unit),
-    ):
-        try:
-            register_algorithm(_name, _fn)
-        except ValueError:
-            pass  # idempotent re-import
+    try:
+        register_algorithm("unit-exact", _unit)
+    except ValueError:
+        pass  # idempotent re-import
 
 
 _register_extras()

@@ -22,7 +22,16 @@ import numpy as np
 
 from .instance import Instance
 
-__all__ = ["Assignment"]
+__all__ = ["Assignment", "InvariantError"]
+
+
+class InvariantError(AssertionError):
+    """A solver post-condition failed.
+
+    Raised explicitly rather than through ``assert``, so ``python -O``
+    keeps the check; subclassing ``AssertionError`` keeps callers that
+    catch the latter working.
+    """
 
 
 @dataclass(frozen=True)
@@ -155,31 +164,38 @@ class Assignment:
         max_makespan: float | None = None,
         atol: float = 1e-9,
     ) -> None:
-        """Raise ``AssertionError`` unless the assignment meets the
+        """Raise :class:`InvariantError` unless the assignment meets the
         given constraints.  Used by tests and by solver post-conditions.
         """
-        assert self.mapping.shape == (self.instance.num_jobs,)
+        if self.mapping.shape != (self.instance.num_jobs,):
+            raise InvariantError(f"mapping has shape {self.mapping.shape}")
         recomputed = np.zeros(self.instance.num_processors)
         np.add.at(recomputed, self.mapping, self.instance.sizes)
-        assert np.allclose(recomputed, self._loads), "load bookkeeping corrupt"
-        if self._moved is not None:
-            actual = np.flatnonzero(self.mapping != self.instance.initial)
-            assert np.array_equal(self._moved, actual), (
-                "moved-job cache disagrees with the mapping"
-            )
-        assert abs(self._loads.sum() - self.instance.total_size) <= atol * max(
+        if not np.allclose(recomputed, self._loads):
+            raise InvariantError("load bookkeeping corrupt")
+        if self._moved is not None and not np.array_equal(
+            self._moved, np.flatnonzero(self.mapping != self.instance.initial)
+        ):
+            raise InvariantError("moved-job cache disagrees with the mapping")
+        # ``not (x <= bound)`` rather than ``x > bound``: NaN must fail.
+        if not abs(self._loads.sum() - self.instance.total_size) <= atol * max(
             1.0, self.instance.total_size
-        ), "load not conserved"
-        if max_moves is not None:
-            assert self.num_moves <= max_moves, (
+        ):
+            raise InvariantError("load not conserved")
+        if max_moves is not None and self.num_moves > max_moves:
+            raise InvariantError(
                 f"{self.num_moves} moves exceeds budget {max_moves}"
             )
-        if budget is not None:
-            assert self.relocation_cost <= budget + atol * max(1.0, budget), (
+        if budget is not None and not self.relocation_cost <= budget + atol * max(
+            1.0, budget
+        ):
+            raise InvariantError(
                 f"cost {self.relocation_cost} exceeds budget {budget}"
             )
-        if max_makespan is not None:
-            assert self.makespan <= max_makespan + atol * max(1.0, max_makespan), (
+        if max_makespan is not None and not self.makespan <= max_makespan + atol * max(
+            1.0, max_makespan
+        ):
+            raise InvariantError(
                 f"makespan {self.makespan} exceeds bound {max_makespan}"
             )
 

@@ -45,7 +45,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .. import telemetry
-from .assignment import Assignment
+from .assignment import Assignment, InvariantError
 from .instance import Instance
 from .result import RebalanceResult
 from .thresholds import ThresholdTables, build_tables, candidate_guesses, scan_start
@@ -85,8 +85,9 @@ def _finalize_evaluation(
     selection and planned move count.
 
     Shared by the scalar per-processor path (:func:`evaluate_guess`) and
-    the engine's vectorized path (:mod:`repro.core.engine`), so both
-    apply the identical tie-breaking rule and produce byte-identical
+    the engine, which finalizes the column
+    :func:`~repro.core.thresholds.search_stop` returns, so both apply
+    the identical tie-breaking rule and produce byte-identical
     evaluations.
     """
     m = int(a.shape[0])
@@ -129,24 +130,15 @@ def _finalize_evaluation(
     )
 
 
-def evaluate_guess(
-    tables: ThresholdTables, guess: float, *, total_large: int | None = None
-) -> GuessEvaluation:
+def evaluate_guess(tables: ThresholdTables, guess: float) -> GuessEvaluation:
     """Compute ``(L_T, a, b, c)``, the Step-3 selection and the planned
     move count for one guess, without constructing the assignment.
 
     A guess is infeasible when ``L_T > m`` (more large jobs than
     processors; no half-optimal configuration exists at this guess).
-
-    ``total_large`` lets a caller that already knows ``L_T`` at this
-    guess (e.g. a scan maintaining it incrementally) skip the
-    ``tables.sizes_asc`` lookup — necessary whenever the global
-    ascending size array is stale, as it is between the engine's
-    full-scan decides on the O(churn) path.
     """
     m = len(tables.processors)
-    if total_large is None:
-        total_large = tables.total_large(guess)
+    total_large = tables.total_large(guess)
     a = np.empty(m, dtype=np.int64)
     b = np.empty(m, dtype=np.int64)
     has_large = np.empty(m, dtype=bool)
@@ -206,7 +198,8 @@ def _construct(
                 # A large processor with b_i == 0 is always selected
                 # (it has a_i == 0 hence c_i == 0, and the tie-break
                 # prefers large processors), so here b_i >= 1.
-                assert b_i >= 1, "unselected large processor with b_i == 0"
+                if b_i < 1:
+                    raise InvariantError("unselected large processor with b_i == 0")
                 floating_large.append(kept_large)
                 loads[i] -= instance.sizes[kept_large]
                 b_i -= 1
@@ -218,10 +211,11 @@ def _construct(
     # selected processors.  The counting identity L_E + (m_L - s_L) ==
     # L_T - s_L guarantees an exact fit.
     large_free_selected = [int(i) for i in ev.selected if not selected_has_large[i]]
-    assert len(floating_large) == len(large_free_selected), (
-        f"{len(floating_large)} floating large jobs vs "
-        f"{len(large_free_selected)} large-free selected processors"
-    )
+    if len(floating_large) != len(large_free_selected):
+        raise InvariantError(
+            f"{len(floating_large)} floating large jobs vs "
+            f"{len(large_free_selected)} large-free selected processors"
+        )
     for j, i in zip(floating_large, large_free_selected):
         mapping[j] = i
         loads[i] += instance.sizes[j]

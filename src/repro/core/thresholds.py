@@ -24,6 +24,14 @@ Because the small jobs on a processor are always a *prefix* of its
 ascending size order, the prefix sums of the all-jobs ascending order
 cover every small-set prefix sum for every classification regime, so
 the union above is a complete threshold set.
+
+M-PARTITION stops at the first threshold at or above its starting guess
+where the plan is feasible (``L_T <= m``) and needs at most ``k``
+moves.  Both conditions are monotone in the guess (DESIGN.md, Lemma M),
+so :func:`search_stop` finds that threshold by galloping and bisecting
+over guess *values*, evaluating every processor at a batch of guesses
+in ``O(m log n)`` (:func:`evaluate_guesses`), and materializes only the
+thresholds between the start guess and the final bracket.
 """
 
 from __future__ import annotations
@@ -32,17 +40,21 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .assignment import InvariantError
 from .instance import Instance
 
 __all__ = [
+    "GuessBatch",
     "ProcessorTable",
+    "ThresholdStop",
     "ThresholdTables",
     "build_tables",
     "candidate_guesses",
+    "evaluate_guesses",
     "patch_tables",
     "patch_tables_hint",
-    "proc_candidates",
     "scan_start",
+    "search_stop",
 ]
 
 
@@ -102,19 +114,6 @@ class ProcessorTable:
         """True if the processor initially holds at least one large job."""
         return self.small_count(guess) < self.num_jobs
 
-    def evaluate(self, guess: float) -> tuple[int, int, int]:
-        """``(a_i, b_i, large_count)`` at ``guess`` with one shared
-        small-count lookup — the per-refresh unit of the incremental
-        scan, where the three separate accessors' repeated
-        ``searchsorted`` dispatches add up."""
-        s_cnt = int(np.searchsorted(self.sizes_asc, guess / 2.0, side="right"))
-        keep_a = int(
-            np.searchsorted(self.prefix[: s_cnt + 1], guess / 2.0, side="right") - 1
-        )
-        q = self.num_jobs if s_cnt == self.num_jobs else s_cnt + 1
-        keep_b = int(np.searchsorted(self.prefix[: q + 1], guess, side="right") - 1)
-        return s_cnt - keep_a, q - keep_b, self.num_jobs - s_cnt
-
 
 @dataclass(frozen=True)
 class ThresholdTables:
@@ -122,12 +121,11 @@ class ThresholdTables:
 
     instance: Instance
     processors: tuple[ProcessorTable, ...]
-    sizes_asc: np.ndarray  # all job sizes, ascending
 
     def total_large(self, guess: float) -> int:
-        """``L_T``: total number of large jobs at this guess."""
-        small = int(np.searchsorted(self.sizes_asc, guess / 2.0, side="right"))
-        return int(self.sizes_asc.shape[0]) - small
+        """``L_T``: total number of large jobs at this guess, summed
+        over the per-processor large counts."""
+        return sum(p.num_jobs - p.small_count(guess) for p in self.processors)
 
 
 def build_tables(instance: Instance) -> ThresholdTables:
@@ -149,11 +147,7 @@ def build_tables(instance: Instance) -> ThresholdTables:
         processors.append(
             ProcessorTable(jobs_asc=jobs_asc, sizes_asc=sizes_asc, prefix=prefix)
         )
-    return ThresholdTables(
-        instance=instance,
-        processors=tuple(processors),
-        sizes_asc=np.sort(instance.sizes),
-    )
+    return ThresholdTables(instance=instance, processors=tuple(processors))
 
 
 def patch_tables(
@@ -186,14 +180,7 @@ def patch_tables(
     if not changed_jobs.any():
         if old is instance:
             return tables, 0
-        return (
-            ThresholdTables(
-                instance=instance,
-                processors=tables.processors,
-                sizes_asc=tables.sizes_asc,
-            ),
-            0,
-        )
+        return ThresholdTables(instance=instance, processors=tables.processors), 0
     changed_procs = np.unique(
         np.concatenate(
             (old.initial[changed_jobs], instance.initial[changed_jobs])
@@ -223,13 +210,8 @@ def patch_tables(
         processors[int(p)] = ProcessorTable(
             jobs_asc=jobs_asc, sizes_asc=sizes_asc, prefix=prefix
         )
-    sizes_asc = np.sort(instance.sizes) if size_changed.any() else tables.sizes_asc
     return (
-        ThresholdTables(
-            instance=instance,
-            processors=tuple(processors),
-            sizes_asc=sizes_asc,
-        ),
+        ThresholdTables(instance=instance, processors=tuple(processors)),
         int(changed_procs.shape[0]),
     )
 
@@ -259,27 +241,14 @@ def patch_tables_hint(
     byte-identical to a :func:`build_tables` rebuild (enforced by
     differential tests).
 
-    ``tables.sizes_asc`` is **not** updated (that would be an O(n)
-    merge per epoch); the returned tables carry the stale array and the
-    caller owns the discipline of never reading it until refreshed —
-    see :class:`repro.core.engine.RebalanceEngine`, which re-sorts it
-    lazily on the next full-scan decide.
-
     Returns ``(new_tables, changed_procs)`` with the affected processor
-    indices (for candidate-stream maintenance).
+    indices.
     """
     n = instance.num_jobs
     if idx.shape[0] == 0:
         if tables.instance is instance:
             return tables, idx
-        return (
-            ThresholdTables(
-                instance=instance,
-                processors=tables.processors,
-                sizes_asc=tables.sizes_asc,
-            ),
-            idx,
-        )
+        return ThresholdTables(instance=instance, processors=tables.processors), idx
     new_initial = instance.initial[idx]
     changed_procs = np.unique(np.concatenate((old_initial, new_initial)))
     # Arrivals grouped by destination bucket in (size, index) order —
@@ -327,11 +296,7 @@ def patch_tables_hint(
             jobs_asc=jobs_asc, sizes_asc=sizes_asc, prefix=prefix
         )
     return (
-        ThresholdTables(
-            instance=instance,
-            processors=tuple(processors),
-            sizes_asc=tables.sizes_asc,
-        ),
+        ThresholdTables(instance=instance, processors=tuple(processors)),
         changed_procs,
     )
 
@@ -355,34 +320,6 @@ def _scatter_insert(
     return out
 
 
-def _merge_sorted(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Merge two ascending float arrays (duplicates kept), O(|a| + |b|)."""
-    if not a.shape[0]:
-        return b
-    if not b.shape[0]:
-        return a
-    return _scatter_insert(a, b, np.searchsorted(a, b, side="left"))
-
-
-def proc_candidates(proc: ProcessorTable) -> np.ndarray:
-    """One processor's Lemma-5 threshold values, ascending (dups kept).
-
-    The union of these streams over all processors equals the value set
-    of :func:`candidate_guesses`; the engine's O(churn) scan slices
-    windows of the per-processor streams instead of materializing (and
-    re-sorting) the global union each epoch, so a churn that touches
-    ``c`` buckets only rebuilds ``c`` streams.  Duplicate values are
-    deduplicated at scan time, not here — keeping the build a pure
-    sorted merge.
-    """
-    if proc.num_jobs == 0:
-        return np.empty(0)
-    pre = proc.prefix[1:]
-    return _merge_sorted(
-        _merge_sorted(pre, 2.0 * pre), 2.0 * proc.sizes_asc
-    )
-
-
 def scan_start(candidates: np.ndarray, average_load: float) -> int:
     """Index of the largest threshold not exceeding ``average_load``.
 
@@ -394,8 +331,8 @@ def scan_start(candidates: np.ndarray, average_load: float) -> int:
     (only possible through float round-off — the heaviest processor's
     full load is itself a candidate and bounds the average from above)
     the scan starts at the largest one instead of indexing past the end.
-    Every scanner (rescan, incremental, engine) shares this helper so
-    they stop at the same threshold by construction.
+    :func:`search_stop` starts from the same threshold, so the rescan
+    and the search stop at the same threshold by construction.
     """
     if candidates.shape[0] == 0:
         return 0
@@ -410,11 +347,212 @@ def candidate_guesses(tables: ThresholdTables) -> np.ndarray:
     ``A`` between consecutive values of this set, so M-PARTITION only
     ever needs to try these ``O(n)`` guesses.
     """
-    parts: list[np.ndarray] = [2.0 * tables.sizes_asc]
+    parts: list[np.ndarray] = []
     for proc in tables.processors:
         if proc.num_jobs:
+            parts.append(2.0 * proc.sizes_asc)
             parts.append(proc.prefix[1:])
             parts.append(2.0 * proc.prefix[1:])
     if not parts:
         return np.empty(0)
     return np.unique(np.concatenate(parts))
+
+
+def _thresholds_between(tables: ThresholdTables, lo: float, hi: float) -> np.ndarray:
+    """The distinct threshold values in ``(lo, hi]``, ascending.
+
+    Doubling and halving are exact in binary floats, so the doubled
+    streams slice against the undoubled arrays at the halved bounds and
+    the values are bit-identical to :func:`candidate_guesses`'.  Needs
+    ``lo >= 0`` (``prefix[0] == 0`` is not a threshold).
+    """
+    parts = []
+    for proc in tables.processors:
+        if not proc.num_jobs:
+            continue
+        pre, sa = proc.prefix, proc.sizes_asc
+        l1, h1, l2, h2 = np.searchsorted(pre, (lo, hi, lo / 2.0, hi / 2.0), side="right")
+        l3, h3 = np.searchsorted(sa, (lo / 2.0, hi / 2.0), side="right")
+        parts.extend((pre[l1:h1], 2.0 * pre[l2:h2], 2.0 * sa[l3:h3]))
+    return np.unique(np.concatenate(parts))
+
+
+@dataclass(frozen=True)
+class GuessBatch:
+    """PARTITION's per-processor values at a batch of guesses.
+
+    ``a``, ``b`` and ``large`` are ``(m, G)`` arrays: column ``j`` holds
+    every processor's ``a_i``, ``b_i`` and large-job count at
+    ``guesses[j]``.  ``planned`` is ``k-hat`` per guess (meaningless
+    where not ``feasible``), and ``rank[j]`` counts the threshold values
+    at most ``guesses[j]`` over all processors, duplicates included.
+    """
+
+    a: np.ndarray
+    b: np.ndarray
+    large: np.ndarray
+    feasible: np.ndarray
+    planned: np.ndarray
+    rank: np.ndarray
+
+    def stops(self, k: int) -> np.ndarray:
+        """M-PARTITION's stop predicate per guess."""
+        return self.feasible & (self.planned <= k)
+
+
+def evaluate_guesses(tables: ThresholdTables, guesses: np.ndarray) -> GuessBatch:
+    """:func:`repro.core.partition.evaluate_guess`'s ``(a, b, L_T)`` and
+    planned move count for every guess of ``guesses`` at once.
+
+    Per processor this is two ``searchsorted`` calls over the whole
+    batch: the prefix-slice caps of
+    :class:`ProcessorTable`'s accessors become ``np.minimum`` against
+    the full-array search, which is equivalent because the prefix sums
+    ascend.  ``k-hat = L_E + sum_i b_i + (sum of the L_T smallest c_i)``
+    — the Step-3 selection total, which tie-breaking cannot change —
+    comes from one sort of the ``(G, m)`` matrix of ``c = a - b``.
+    """
+    procs = tables.processors
+    m = len(procs)
+    count = guesses.shape[0]
+    half = guesses / 2.0
+    half_and_full = np.concatenate((half, guesses))
+    # keeps rows default to 1 (-> 0 after the global -1): the correct
+    # "keep nothing past P_0" value for empty processors.
+    keeps = np.ones((m, 2 * count), dtype=np.int64)
+    small = np.zeros((m, count), dtype=np.int64)
+    njobs = np.zeros((m, 1), dtype=np.int64)
+    for i, proc in enumerate(procs):
+        if proc.num_jobs:
+            njobs[i, 0] = proc.num_jobs
+            keeps[i] = np.searchsorted(proc.prefix, half_and_full, side="right")
+            small[i] = np.searchsorted(proc.sizes_asc, half, side="right")
+    keeps -= 1
+    keep_half, keep_full = keeps[:, :count], keeps[:, count:]
+    a = small - np.minimum(keep_half, small)
+    q = np.where(small == njobs, njobs, small + 1)
+    b = q - np.minimum(keep_full, q)
+    large = njobs - small
+    total_large = large.sum(axis=0)
+    csum = np.cumsum(np.sort((a - b).T, axis=1), axis=1)
+    lt = np.minimum(total_large, m)
+    smallest = np.where(lt > 0, csum[np.arange(count), np.maximum(lt, 1) - 1], 0)
+    return GuessBatch(
+        a=a,
+        b=b,
+        large=large,
+        feasible=total_large <= m,
+        planned=total_large - (large > 0).sum(axis=0) + b.sum(axis=0) + smallest,
+        rank=(keep_half + keep_full + small).sum(axis=0),
+    )
+
+
+@dataclass(frozen=True)
+class ThresholdStop:
+    """Where M-PARTITION stops: the guess, the rescan's
+    ``thresholds_tried`` (distinct thresholds from the start guess up
+    to and including the stop), ``k-hat``, and every processor's
+    ``a_i``, ``b_i`` and large-job count there."""
+
+    guess: float
+    tried: int
+    k_hat: int
+    a: np.ndarray
+    b: np.ndarray
+    large: np.ndarray
+
+
+_PROBES = 64  # guesses evaluated per search round
+_WINDOW = _PROBES * _PROBES  # materialize a bracket holding this few thresholds
+
+
+def _start_guess(tables: ThresholdTables, average_load: float) -> float:
+    """:func:`scan_start`'s threshold, found per processor in
+    ``O(m log n)``: the largest threshold at most ``average_load``, or
+    the smallest threshold (the smallest job) when none is."""
+    best = -np.inf
+    smallest = np.inf
+    half = average_load / 2.0
+    for proc in tables.processors:
+        if not proc.num_jobs:
+            continue
+        pre, sa = proc.prefix, proc.sizes_asc
+        full_at, half_at = np.searchsorted(pre, (average_load, half), side="right") - 1
+        small_at = int(np.searchsorted(sa, half, side="right"))
+        if full_at:
+            best = max(best, float(pre[full_at]))
+        if half_at:
+            best = max(best, 2.0 * float(pre[half_at]))
+        if small_at:
+            best = max(best, 2.0 * float(sa[small_at - 1]))
+        smallest = min(smallest, float(sa[0]))
+    return best if best > -np.inf else smallest
+
+
+def search_stop(tables: ThresholdTables, k: int, average_load: float) -> ThresholdStop:
+    """The first threshold at or above :func:`scan_start`'s guess where
+    the plan is feasible and needs at most ``k`` moves.
+
+    The stop predicate is monotone in the guess (DESIGN.md, Lemma M)
+    and constant between consecutive thresholds (Lemma 5), so the
+    search evaluates it at non-threshold guesses too.  It gallops up
+    from the start guess on a geometric grid, bisects the bracket on
+    uniform grids of :data:`_PROBES` guesses until at most
+    :data:`_WINDOW` threshold values (counted with duplicates) remain,
+    then materializes the distinct thresholds from the start guess to
+    the bracket's top and bisects over those inside the bracket to the
+    exact stop, whose position there is the rescan's
+    ``thresholds_tried``.  Each round is one :func:`evaluate_guesses`
+    call, ``O(m log n)``.  The instance must have at least one job.
+    """
+    start = _start_guess(tables, average_load)
+    batch = evaluate_guesses(tables, np.array([start]))
+    if batch.stops(k)[0]:
+        return _stop_at(batch, 0, start, 1)
+    # Invariant: the stop is in (lo, hi]; rank_* count thresholds <= lo/hi.
+    # At twice the heaviest load every job is small and nothing moves.
+    lo, rank_lo = start, int(batch.rank[0])
+    hi = 2.0 * max(float(p.prefix[-1]) for p in tables.processors)
+    rank_hi = 3 * tables.instance.num_jobs
+    grid = lo + (hi - lo) * np.exp2(-np.arange(_PROBES - 1, -1, -1.0))
+    while rank_hi - rank_lo > _WINDOW:
+        grid = np.unique(grid[(grid > lo) & (grid < hi)])
+        if not grid.shape[0]:
+            break  # (lo, hi) holds no float: one threshold value remains
+        batch = evaluate_guesses(tables, grid)
+        stops = batch.stops(k)
+        j = int(np.argmax(stops)) if stops.any() else grid.shape[0]
+        if j < grid.shape[0]:
+            hi, rank_hi = float(grid[j]), int(batch.rank[j])
+        if j:
+            lo, rank_lo = float(grid[j - 1]), int(batch.rank[j - 1])
+        grid = lo + (hi - lo) * np.arange(1, _PROBES + 1) / (_PROBES + 1)
+    # Materialize (start, hi] and bisect over its thresholds past lo,
+    # which are known to fail; the last one always stops (it shares
+    # its values with ``hi``).  A stop at index i was the (i + 2)-th
+    # threshold the rescan tried.
+    window = _thresholds_between(tables, start, hi)
+    first, end = int(np.searchsorted(window, lo, side="right")), window.shape[0]
+    while True:
+        picks = np.linspace(first, end - 1, min(_PROBES, end - first))
+        picks = picks.round().astype(np.int64)
+        batch = evaluate_guesses(tables, window[picks])
+        stops = batch.stops(k)
+        if not stops[-1]:
+            raise InvariantError(f"no stop at threshold {window[picks[-1]]}")
+        j = int(np.argmax(stops))
+        first = int(picks[j - 1]) + 1 if j else first
+        if first == picks[j]:
+            return _stop_at(batch, j, float(window[first]), first + 2)
+        end = int(picks[j]) + 1
+
+
+def _stop_at(batch: GuessBatch, j: int, guess: float, tried: int) -> ThresholdStop:
+    return ThresholdStop(
+        guess=guess,
+        tried=tried,
+        k_hat=int(batch.planned[j]),
+        a=np.ascontiguousarray(batch.a[:, j]),
+        b=np.ascontiguousarray(batch.b[:, j]),
+        large=np.ascontiguousarray(batch.large[:, j]),
+    )

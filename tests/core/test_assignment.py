@@ -1,11 +1,17 @@
 """Unit tests for Assignment accounting."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core import Assignment, make_instance
+import repro
+from repro.core import Assignment, InvariantError, make_instance
 from repro.core.assignment import apply_sequence
 
 from ..conftest import small_instances
@@ -80,6 +86,31 @@ class TestValidation:
         a.validate(budget=1.0)
         with pytest.raises(AssertionError):
             a.validate(budget=0.5)
+
+    def test_validate_raises_invariant_error(self, inst):
+        a = Assignment(instance=inst, mapping=[2, 2, 1, 1])
+        with pytest.raises(InvariantError):
+            a.validate(max_moves=1)
+
+    def test_validate_survives_python_O(self):
+        """The checks are explicit raises, so ``python -O`` (which
+        strips ``assert``) keeps them."""
+        code = (
+            "from repro.core import Assignment, InvariantError, make_instance\n"
+            "inst = make_instance(sizes=[1.0, 2.0], initial=[0, 0], num_processors=2)\n"
+            "try:\n"
+            "    Assignment(instance=inst, mapping=[1, 1]).validate(max_moves=1)\n"
+            "except InvariantError:\n"
+            "    raise SystemExit(0)\n"
+            "raise SystemExit('over-budget assignment validated')\n"
+        )
+        src = str(Path(repro.__file__).resolve().parents[1])
+        done = subprocess.run(
+            [sys.executable, "-O", "-c", code],
+            env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True,
+            timeout=60,
+        )
+        assert done.returncode == 0, done.stderr
 
     def test_validate_makespan(self, inst):
         a = Assignment.initial(inst)  # makespan 7

@@ -11,17 +11,23 @@ import pytest
 from hypothesis import given, settings
 
 import repro
-from repro.core import certify, exact_rebalance
+from repro.core import RebalanceEngine, certify, exact_rebalance
 
 from ..conftest import instances_with_k
 
 MOVE_BUDGET_ALGOS = (
     "greedy",
     "m-partition",
-    "m-partition-incremental",
     "hill-climb",
     "exact",
 )
+
+
+def _budget_results(inst, k):
+    """Every move-budget algorithm's result, plus the warm engine's."""
+    for name in MOVE_BUDGET_ALGOS:
+        yield name, repro.rebalance(inst, algorithm=name, k=k)
+    yield "engine", RebalanceEngine(k=k).rebalance(inst)
 
 
 class TestCrossAlgorithm:
@@ -29,8 +35,7 @@ class TestCrossAlgorithm:
     @given(instances_with_k(max_jobs=7, max_processors=3))
     def test_all_respect_budget_and_certify(self, case):
         inst, k = case
-        for name in MOVE_BUDGET_ALGOS:
-            res = repro.rebalance(inst, algorithm=name, k=k)
+        for _name, res in _budget_results(inst, k):
             cert = certify(res, k=k)
             cert.require()
 
@@ -39,8 +44,7 @@ class TestCrossAlgorithm:
     def test_exact_dominates_everyone(self, case):
         inst, k = case
         best = exact_rebalance(inst, k=k).makespan
-        for name in MOVE_BUDGET_ALGOS:
-            res = repro.rebalance(inst, algorithm=name, k=k)
+        for name, res in _budget_results(inst, k):
             assert res.makespan >= best - 1e-9, (
                 f"{name} beat the exact optimum: {res.makespan} < {best}"
             )
@@ -68,6 +72,6 @@ class TestCrossAlgorithm:
             sizes=[8, 7, 2, 2, 1], initial=[0, 0, 0, 1, 1], num_processors=2
         )
         a = repro.rebalance(inst, algorithm="m-partition", k=2)
-        b = repro.rebalance(inst, algorithm="m-partition-incremental", k=2)
+        b = RebalanceEngine(k=2).rebalance(inst)
         assert a.makespan == b.makespan
         assert np.array_equal(a.assignment.mapping, b.assignment.mapping)

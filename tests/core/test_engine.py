@@ -22,7 +22,8 @@ from repro.core import (
     patch_tables,
     scan_start,
 )
-from repro.core.engine import _FlatTables
+from repro.core.partition import _finalize_evaluation
+from repro.core.thresholds import evaluate_guesses, search_stop
 
 from ..conftest import instances_with_k, small_instances
 
@@ -34,7 +35,6 @@ def assert_tables_equal(actual, expected):
         assert np.array_equal(pa.jobs_asc, pe.jobs_asc)
         assert np.array_equal(pa.sizes_asc, pe.sizes_asc)
         assert np.array_equal(pa.prefix, pe.prefix)
-    assert np.array_equal(actual.sizes_asc, expected.sizes_asc)
 
 
 def assert_same_decision(a, b):
@@ -69,15 +69,15 @@ class TestScanStart:
     @settings(max_examples=40, deadline=None)
     @given(instances_with_k(max_jobs=8, max_processors=4))
     def test_rescan_and_incremental_share_the_start(self, case):
-        """Both scanners consume the same helper, so instances whose
-        average load sits at a threshold boundary cannot diverge."""
-        from repro.core import m_partition_rebalance_incremental
-
+        """The rescan and the engine's search start from the same
+        threshold, so instances whose average load sits at a threshold
+        boundary cannot diverge."""
         inst, k = case
-        assert_same_decision(
-            m_partition_rebalance(inst, k),
-            m_partition_rebalance_incremental(inst, k),
-        )
+        rescan = m_partition_rebalance(inst, k)
+        engine = RebalanceEngine(k=k).rebalance(inst)
+        assert_same_decision(rescan, engine)
+        if inst.num_jobs:
+            assert engine.meta["thresholds_tried"] == rescan.meta["thresholds_tried"]
 
 
 class TestPatchTables:
@@ -179,17 +179,30 @@ class TestVectorizedEvaluation:
     @given(small_instances(max_jobs=10, max_processors=5))
     def test_matches_scalar_on_every_candidate(self, inst):
         tables = build_tables(inst)
-        flat = _FlatTables(tables)
-        for guess in candidate_guesses(tables):
+        guesses = candidate_guesses(tables)
+        batch = evaluate_guesses(tables, guesses)
+        for j, guess in enumerate(guesses):
             scalar = evaluate_guess(tables, float(guess))
-            vector = flat.evaluate(float(guess))
-            assert vector.feasible == scalar.feasible
+            vector = _finalize_evaluation(
+                float(guess), int(batch.large[:, j].sum()),
+                batch.a[:, j], batch.b[:, j], batch.large[:, j] > 0,
+            )
+            assert batch.feasible[j] == scalar.feasible == vector.feasible
             assert vector.total_large == scalar.total_large
             assert vector.large_processors == scalar.large_processors
             assert np.array_equal(vector.a_values, scalar.a_values)
             assert np.array_equal(vector.b_values, scalar.b_values)
             assert vector.planned_moves == scalar.planned_moves
+            if scalar.feasible:
+                assert batch.planned[j] == scalar.planned_moves
             assert np.array_equal(vector.selected, scalar.selected)
+            # rank counts the thresholds <= guess, duplicates included.
+            assert batch.rank[j] == 3 * inst.num_jobs - sum(
+                int((np.concatenate((
+                    2.0 * p.sizes_asc, p.prefix[1:], 2.0 * p.prefix[1:]
+                )) > guess).sum())
+                for p in tables.processors
+            )
 
 
 class TestRebalanceEngine:
@@ -432,17 +445,15 @@ class TestRebalanceEngine:
                 assert_same_decision(a, b)
 
     def test_prebuilt_tables_accepted_by_scanners(self):
-        from repro.core import m_partition_rebalance_incremental
-
         inst = make_instance(
             sizes=[8, 7, 2, 2, 1], initial=[0, 0, 0, 1, 1], num_processors=2
         )
         tables = build_tables(inst)
+        rescan = m_partition_rebalance(inst, 2)
         assert_same_decision(
-            m_partition_rebalance(inst, 2),
-            m_partition_rebalance(inst, 2, tables=tables),
+            rescan, m_partition_rebalance(inst, 2, tables=tables)
         )
-        assert_same_decision(
-            m_partition_rebalance_incremental(inst, 2),
-            m_partition_rebalance_incremental(inst, 2, tables=tables),
-        )
+        stop = search_stop(tables, 2, inst.average_load)
+        assert stop.guess == rescan.guessed_opt
+        assert stop.k_hat == rescan.planned_moves
+        assert stop.tried == rescan.meta["thresholds_tried"]

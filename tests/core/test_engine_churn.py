@@ -1,11 +1,12 @@
 """Tests for the engine's O(churn) decide path and the rolling hash.
 
 The O(churn) path (churn hints, hint-based table patching, the
-heap-merged incremental scan) carries the same transparent-acceleration
-contract as the rest of the engine: every decision must be
-byte-identical to a from-scratch ``m_partition_rebalance`` call,
-including the ``thresholds_tried`` count (the scans must stop at the
-same threshold for the same reason).  The rolling fingerprint carries a
+threshold search on the patched tables) carries the same
+transparent-acceleration contract as the rest of the engine: every
+decision must be byte-identical to a from-scratch
+``m_partition_rebalance`` call, including the ``thresholds_tried``
+count (the search must stop at the same threshold for the same
+reason).  The rolling fingerprint carries a
 contract of its own: rolling a churn of any size lands on the exact
 digest a fresh O(n) recompute produces.
 """
@@ -17,8 +18,7 @@ from repro.core import RebalanceEngine, build_tables, m_partition_rebalance
 from repro.core import rollhash
 from repro.core.engine import _merge_hints, _normalize_hint, snapshot_fingerprint
 from repro.core.instance import Instance
-from repro.core.partition_incremental import scan_incremental
-from repro.core.thresholds import patch_tables_hint, proc_candidates
+from repro.core.thresholds import patch_tables_hint, search_stop
 
 
 def _random_state(rng, n, m, integer=False):
@@ -161,7 +161,7 @@ class TestHintNormalization:
 
 class TestPatchTablesHint:
     """Hint-based bucket patching must reproduce build_tables buckets
-    byte-for-byte (sizes_asc excepted — it is deliberately stale)."""
+    byte-for-byte."""
 
     @pytest.mark.parametrize("integer", [False, True])
     def test_patched_buckets_match_full_build(self, integer):
@@ -203,7 +203,7 @@ class TestPatchTablesHint:
 
 
 class TestScanIncremental:
-    """The lazy-stream scan must stop exactly where the full scan stops."""
+    """The threshold search must stop exactly where the full scan stops."""
 
     def test_matches_full_scan_stop(self):
         rng = np.random.default_rng(31)
@@ -221,36 +221,11 @@ class TestScanIncremental:
                          num_processors=m, initial=initial.copy()),
                 k,
             )
-            scan = scan_incremental(tables, k, inst.average_load)
-            assert scan is not None
-            stop_guess, k_hat, tried, _refreshes, state = scan
-            assert stop_guess == ref.guessed_opt
-            assert k_hat == ref.planned_moves
-            assert tried == ref.meta["thresholds_tried"]
-            assert state.total_large_jobs == ref.meta["L_T"]
-
-    def test_lazy_streams_enumerate_proc_candidates(self):
-        # The lazy cursors and the materialized per-processor stream
-        # must expose the same value sequence.
-        from repro.core.partition_incremental import _LazyStreams
-
-        rng = np.random.default_rng(32)
-        sizes, costs, initial = _random_state(rng, 60, 4, integer=True)
-        inst = Instance.trusted(sizes, costs, 4, initial)
-        tables = build_tables(inst)
-        for i, proc in enumerate(tables.processors):
-            expected = np.unique(proc_candidates(proc))
-            streams = _LazyStreams(tables)
-            streams.seed(i, -1.0)  # cursors at the very beginning
-            got = []
-            cur = -np.inf
-            while True:
-                head = streams.head(i, cur)
-                if head == np.inf:
-                    break
-                got.append(head)
-                cur = head
-            assert np.array_equal(np.asarray(got), expected)
+            stop = search_stop(tables, k, inst.average_load)
+            assert stop.guess == ref.guessed_opt
+            assert stop.k_hat == ref.planned_moves
+            assert stop.tried == ref.meta["thresholds_tried"]
+            assert int(stop.large.sum()) == ref.meta["L_T"]
 
 
 class TestChurnHintDecides:
@@ -301,11 +276,11 @@ class TestChurnHintDecides:
 
     def test_integer_ties_cross_fallback_threshold(self):
         # Integer sizes maximize threshold-value ties; the periodic
-        # burst epochs exceed churn_limit and must fall back to the
-        # vectorized full scan — still byte-identical.
+        # burst epochs churn a third of the jobs and still decide off
+        # the hint-patched tables — byte-identical, no rebuild.
         stats = self._closed_loop(42, 500, 6, 32, 30, 8, integer=True)
         assert stats.incremental_decides > 0
-        assert stats.churn_fallbacks > 0
+        assert stats.full_builds == 1
 
     def test_arrival_departure_forces_full_rebuild(self):
         rng = np.random.default_rng(43)
@@ -417,4 +392,7 @@ class TestChurnHintDecides:
         stats = self._closed_loop(46, 300, 4, 24, 10, 4)
         d = stats.as_dict()
         assert d["incremental_decides"] > 0
-        assert "churn_fallbacks" in d
+        # Every decide after the cold one runs off hint-patched tables.
+        assert d["incremental_decides"] == (
+            d["decisions"] - d["cache_hits"] - d["full_builds"]
+        )

@@ -13,8 +13,8 @@ from repro import telemetry
 from repro.core import (
     cost_partition_rebalance,
     greedy_rebalance,
+    RebalanceEngine,
     m_partition_rebalance,
-    m_partition_rebalance_incremental,
     make_instance,
     ptas_rebalance,
 )
@@ -161,10 +161,13 @@ class TestSolverIntegration:
     def test_incremental_matches_rescan_telemetry(self):
         inst = _instance()
         with telemetry.collect():
-            res = m_partition_rebalance_incremental(inst, 5)
+            res = RebalanceEngine(k=5).rebalance(inst)
         tel = res.meta["telemetry"]
         assert tel["counters"]["thresholds_tried"] == res.meta["thresholds_tried"]
-        assert "m_partition_inc.scan" in tel["spans"]
+        assert res.meta["thresholds_tried"] == (
+            m_partition_rebalance(inst, 5).meta["thresholds_tried"]
+        )
+        assert "engine.search" in tel["spans"]
 
     def test_cost_partition_counts_knapsack_cells(self):
         inst = _instance(n=20, m=3, cost_family="random")

@@ -3,8 +3,9 @@
 import numpy as np
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.core import build_tables, candidate_guesses, make_instance
+from repro.core import build_tables, candidate_guesses, evaluate_guess, make_instance
 
 from ..conftest import small_instances
 
@@ -119,3 +120,60 @@ class TestCandidateGuesses:
             assert len(signatures) == 1, (
                 f"values changed inside ({lo}, {hi}): {signatures}"
             )
+
+
+@st.composite
+def tie_heavy_cases(draw):
+    """Instances that stress Lemma M: integer sizes 1-4 (many tied
+    thresholds), every job on one processor, ``m = 1`` and ``k = 0``."""
+    n = draw(st.integers(min_value=1, max_value=12))
+    m = draw(st.one_of(st.just(1), st.integers(min_value=1, max_value=5)))
+    sizes = draw(st.lists(st.integers(1, 4), min_size=n, max_size=n))
+    if draw(st.booleans()):
+        initial = [draw(st.integers(0, m - 1))] * n
+    else:
+        initial = draw(st.lists(st.integers(0, m - 1), min_size=n, max_size=n))
+    k = draw(st.one_of(st.just(0), st.integers(min_value=0, max_value=n)))
+    return make_instance(sizes=sizes, initial=initial, num_processors=m), k
+
+
+@st.composite
+def float_cases(draw):
+    """Float sizes whose prefix sums round, with repeated values."""
+    n = draw(st.integers(min_value=1, max_value=12))
+    m = draw(st.integers(min_value=1, max_value=4))
+    pool = draw(st.lists(
+        st.floats(min_value=1e-3, max_value=1e3, allow_nan=False),
+        min_size=1, max_size=4,
+    ))
+    sizes = draw(st.lists(st.sampled_from(pool), min_size=n, max_size=n))
+    initial = draw(st.lists(st.integers(0, m - 1), min_size=n, max_size=n))
+    k = draw(st.integers(min_value=0, max_value=n))
+    return make_instance(sizes=sizes, initial=initial, num_processors=m), k
+
+
+def assert_stop_monotone(inst, k):
+    """Lemma M over *every* threshold, not only those past the scan
+    start: feasibility never turns off again as the guess grows, and
+    ``k-hat`` never grows across feasible guesses — so the stop
+    predicate is monotone and bisection finds the rescan's stop."""
+    tables = build_tables(inst)
+    evs = [evaluate_guess(tables, float(g)) for g in candidate_guesses(tables)]
+    feasible = [ev.feasible for ev in evs]
+    assert feasible == sorted(feasible)
+    planned = [ev.planned_moves for ev in evs if ev.feasible]
+    assert planned == sorted(planned, reverse=True)
+    stops = [ev.feasible and ev.planned_moves <= k for ev in evs]
+    assert stops == sorted(stops)
+
+
+class TestStopMonotone:
+    @settings(max_examples=300, deadline=None)
+    @given(tie_heavy_cases())
+    def test_monotone_with_ties(self, case):
+        assert_stop_monotone(*case)
+
+    @settings(max_examples=150, deadline=None)
+    @given(float_cases())
+    def test_monotone_with_float_rounding(self, case):
+        assert_stop_monotone(*case)

@@ -125,10 +125,9 @@ class TestResidentDifferential:
         assert engine["incremental_decides"] >= 1
 
     def test_fallback_threshold_crossing_still_exact(self, server):
-        """A delta touching nearly every site crosses the engine's
-        churn-limit fallback (full table rebuild instead of the
-        incremental scan); the decision must not change, and the
-        stream must continue incrementally afterwards."""
+        """A delta touching nearly every site patches nearly every
+        bucket of the warm tables; the decision must not change, and
+        the stream must continue incrementally afterwards."""
         k = 2
         n, m = 64, 4
         rng = np.random.default_rng(33)
@@ -143,8 +142,8 @@ class TestResidentDifferential:
             server.host, server.port, protocol="binary"
         ) as client:
             assert _send_full(client, res, "fb", k, True)["ok"]
-            # Small churn, then a delta rewriting all n sites (far past
-            # any churn limit), then small churn again.
+            # Small churn, then a delta rewriting all n sites, then
+            # small churn again.
             for churn in (4, n - 1, 4):
                 delta = _step_delta(res, rng, churn, empty, empty)
                 response = client.call({
