@@ -1,14 +1,15 @@
-"""E16 — the shared-memory snapshot plane for the process executor.
+"""E16 — the process executor's resident solve plane.
 
-The acceptance configuration for the snapshot transport — the shm
-plane sustains a churn load the inline-codec process executor collapses
-under (>= 5x goodput via a hunted rate window), solve requests crossing
-the pipe do not scale with the snapshot, and the steady-state decision
-memo answers at sub-ms p50 — lives in the scenario catalog
-(``repro.scenarios``, scenario E16, bench runner ``e16-shm``); the
-acceptance test here is a thin shim over ``run_scenario``, which also
-refreshes the ``BENCH_e16.json`` working copy.  The single-solve ipc
-smoke remains local for fast feedback.
+The acceptance configuration — process workers own each shard's
+resident arrays, so a delta stream sustains a churn load the same
+server collapses under when fed full snapshots (>= 5x goodput via a
+hunted rate window), a steady delta solve's worker-pipe bytes do not
+scale with the snapshot, and the steady-state response memo answers at
+sub-ms p50 — lives in the scenario catalog (``repro.scenarios``,
+scenario E16, bench runner ``e16-shm``); the acceptance test here is a
+thin shim over ``run_scenario``, which also refreshes the
+``BENCH_e16.json`` working copy.  The single-solve ipc smoke remains
+local for fast feedback.
 """
 
 import numpy as np
@@ -31,9 +32,9 @@ def test_e16_table(benchmark, show_report):
 
 def test_solve_ipc_bytes_independent_of_n():
     """The tentpole wire property, pinned across a 4x snapshot growth:
-    with the plane on, the bytes a solve pushes over the worker pipe
-    are a slot reference, so quadrupling the snapshot must not move
-    them (the inline sizes array alone would grow by 8n)."""
+    after one install, a delta solve pushes only the changed sites over
+    the worker pipe, so quadrupling the snapshot must not move its
+    bytes (the inline sizes array alone would grow by 8n)."""
     per_solve = {}
     for n in (6_000, 24_000):
         rng = np.random.default_rng(n)
@@ -42,26 +43,36 @@ def test_solve_ipc_bytes_independent_of_n():
             initial=rng.integers(0, 12, n),
             num_processors=12,
         )
-        config = ServerConfig(
-            executor="process", process_workers=1,
-            shm_slot_bytes=1 << 20,
+        sizes = inst.sizes.copy()
+        sizes[rng.choice(n, size=16, replace=False)] *= 1.5
+        changed = make_instance(
+            sizes=sizes, initial=inst.initial, num_processors=12
         )
+        config = ServerConfig(executor="process", process_workers=1)
         with start_background(config) as handle:
-            with ServiceClient(handle.host, handle.port) as client:
-                client.rebalance(inst, 8, shard="ipc")
-                counters = client.status()["metrics"]["counters"]
-        assert counters["service.shm_writes"] == 1
-        per_solve[n] = counters["service.ipc_bytes_out"]
+            with ServiceClient(
+                handle.host, handle.port, protocol="binary", delta=True
+            ) as client:
+                client.rebalance(inst, 8, shard="ipc", moves_only=True)
+                before = client.status()["metrics"]["counters"]
+                client.rebalance(changed, 8, shard="ipc", moves_only=True)
+                after = client.status()["metrics"]["counters"]
+                assert client.deltas_sent == 1
+        assert after["service.resident_installs"] == 1
+        per_solve[n] = sum(
+            after[key] - before[key]
+            for key in ("service.ipc_bytes_out", "service.ipc_bytes_in")
+        )
     small, big = per_solve[6_000], per_solve[24_000]
-    print(f"\n[E16 ipc] solve request bytes: n=6000 -> {small}B, "
+    print(f"\n[E16 ipc] delta solve pipe bytes: n=6000 -> {small}B, "
           f"n=24000 -> {big}B (ratio {big / small:.2f})")
     assert big < 8 * 24_000          # nowhere near one inline array
     assert big <= 1.5 * small        # flat across 4x snapshot growth
 
 
 def test_shm_goodput_acceptance():
-    """The shm plane sustains a churn load the inline-codec process
-    executor collapses under, with the decision-memo steady leg at
-    sub-ms p50 (catalog scenario E16)."""
+    """Delta frames sustain a churn load the same process-executor
+    server collapses under when fed full snapshots, with the memo
+    steady leg at sub-ms p50 (catalog scenario E16)."""
     result = run_scenario("E16")
     assert result.acceptance_ok, result.failure_summary()

@@ -992,7 +992,8 @@ def _e16_run(server_config, loadgen_config, prime_passes: int = 2):
     snapshots = build_snapshots(loadgen_config)
     with start_background(server_config) as handle:
         with ServiceClient(
-            handle.host, handle.port, protocol="binary", delta=True
+            handle.host, handle.port, protocol="binary",
+            delta=loadgen_config.delta,
         ) as primer:
             for _ in range(prime_passes):
                 for snapshot in snapshots:
@@ -1015,17 +1016,19 @@ def experiment_e16_shm(
     steady_rate: float = 200.0,
     seed: int = 16,
 ) -> ExperimentReport:
-    """The shared-memory snapshot plane end to end: goodput and latency.
+    """The process executor's resident solve plane end to end.
 
     One churn-traffic workload (every epoch snapshot distinct, sparsely
     changed), calibrated so a single inline worker-pipe marshal round
     costs a fixed time on this host, offered at a rate that prices that
-    marshal at ``load_factor`` of a core.  The inline-codec leg pays
-    the marshal for every dispatched solve and falls over — queueing
-    past the client deadline — while the shm leg ships O(1) slot
-    references over the pipe and serves the same arrival stream with
+    marshal at ``load_factor`` of a core.  Both rows run the same
+    process-executor server.  The frames row sends deltas: they land on
+    the resident tip, and only the changed sites cross the worker pipe.
+    The full-snapshot row sends every epoch whole, so each request
+    reinstalls O(n) arrays over the pipe and falls over — queueing past
+    the client deadline — at a rate the frames row serves with
     headroom.  The steady row then measures the quiet-cluster fast
-    path on a small snapshot: decision-memo hits answered on the event
+    path on a small snapshot: response-memo hits answered on the event
     loop, no worker round trip, sub-millisecond p50.
     """
     from dataclasses import replace as _replace
@@ -1034,29 +1037,25 @@ def experiment_e16_shm(
 
     base, marshal_s = calibrate_shm_workload(seed=seed)
     rate = min(rate_cap, load_factor / marshal_s)
-    slot_bytes = 1 << max(20, (16 + 24 * base.num_sites).bit_length())
     report = ExperimentReport(
         experiment_id="E16",
-        title="Shared-memory snapshot plane vs inline worker-pipe codec",
+        title="Process workers' resident plane: delta frames vs full installs",
         columns=("transport", "ipc MB out", "goodput/s", "p50 ms",
                  "p99 ms", "ok", "late", "rej", "shed", "err", "alive"),
     )
     lg = _replace(base, rate=rate, duration_s=duration_s,
                   deadline_ms=deadline_ms, connections=8)
-    # The overload legs disable the decision memo: after priming, the
+    # The overload rows disable the response memo: after priming, the
     # cycled epochs would otherwise be answered from the memo and the
     # worker pipe — the transport under comparison — never touched.
+    server_config = ServerConfig(executor="process", process_workers=2,
+                                 max_queue=64, decision_cache_size=0)
     cases = (
-        ("shm slot refs / process x2",
-         ServerConfig(executor="process", process_workers=2,
-                      max_queue=64, shm_slot_bytes=slot_bytes,
-                      decision_cache_size=0)),
-        ("inline arrays / process x2",
-         ServerConfig(executor="process", process_workers=2,
-                      max_queue=64, shm=False, decision_cache_size=0)),
+        ("delta frames / process x2", lg),
+        ("full snapshots / process x2", _replace(lg, delta=False)),
     )
-    for mode, server_config in cases:
-        run, alive, counters = _e16_run(server_config, lg)
+    for mode, loadgen_config in cases:
+        run, alive, counters = _e16_run(server_config, loadgen_config)
         report.add_row(
             mode, counters.get("service.ipc_bytes_out", 0) / 1e6,
             run.goodput_per_s, run.p50_ms, run.p99_ms, run.completed,
@@ -1080,18 +1079,17 @@ def experiment_e16_shm(
         f"calibrated workload: n={base.num_sites} m={base.num_servers} "
         f"k={base.k}, churn traffic, duplicates=1; inline marshal round "
         f"{marshal_s * 1e3:.2f}ms -> offered rate {rate:.0f}/s prices "
-        f"the inline leg's per-solve marshal at {load_factor:.0%} of a "
-        "core while the shm leg dispatches O(1) slot references.  The "
-        "goodput gap opens once the rate exceeds the inline leg's "
-        "capacity — host-speed dependent; bench_e16_shm hunts that "
-        "window explicitly — whereas the ipc column differs by orders "
-        "of magnitude at any rate.  Both legs are primed "
-        "with two full passes over the epoch stream before measuring.  "
-        "ipc MB out counts request bytes crossing worker pipes, "
-        "priming included — the shm column stays near zero because "
-        "snapshots cross as (slot, generation) references.  The steady "
-        "row is the decision-memo fast path: repeated fingerprints "
-        "answered on the event loop in sub-millisecond p50."
+        f"the full-snapshot row's per-request install at {load_factor:.0%} "
+        "of a core while the frames row ships only changed sites.  The "
+        "goodput gap opens once the rate exceeds the full-snapshot "
+        "row's capacity — host-speed dependent; bench_e16_shm hunts "
+        "that window explicitly — whereas the ipc column differs by "
+        "orders of magnitude at any rate.  Both rows are primed with "
+        "two passes over the epoch stream in their own transport "
+        "before measuring.  ipc MB out counts request bytes crossing "
+        "worker pipes, priming included.  The steady row is the "
+        "response-memo fast path: repeated fingerprints answered on "
+        "the event loop in sub-millisecond p50."
     )
     return report
 

@@ -28,18 +28,13 @@ from __future__ import annotations
 
 import multiprocessing
 import os
-import secrets
-import struct
 from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 from typing import Any, Callable, Iterable, Sequence
-
-import numpy as np
 
 from . import telemetry
 
 __all__ = [
     "PersistentWorkerPool",
-    "SnapshotRing",
     "default_workers",
     "run_sweep",
     "run_until",
@@ -111,188 +106,6 @@ def run_sweep(
             results[idx] = out
             _merge_worker_telemetry(tel)
     return results
-
-
-# ----------------------------------------------------------------------
-# Shared-memory snapshot ring
-# ----------------------------------------------------------------------
-_SLOT_HEADER = 16  # generation (u64 little-endian) + job count (u64)
-_ARRAYS_PER_SLOT = 3  # sizes (f8), costs (f8), initial (i8)
-
-
-def _attach_untracked(name: str) -> Any:
-    """Attach to an existing segment without resource-tracker custody.
-
-    A spawned worker that merely *attaches* to a segment must not let
-    its resource tracker unlink the segment at exit — the serving
-    process owns the name.  Python 3.13 grew ``track=False`` for this.
-    Older interpreters share one tracker process across the pool, and
-    its registry is a plain set of names: attach-then-``unregister``
-    would erase the *owner's* registration too, so the portable
-    spelling is to suppress ``register`` for the duration of the
-    attach instead.
-    """
-    from multiprocessing import shared_memory
-
-    try:
-        return shared_memory.SharedMemory(name=name, track=False)  # type: ignore[call-arg]
-    except TypeError:  # Python < 3.13: no track parameter
-        pass
-    from multiprocessing import resource_tracker
-
-    original = resource_tracker.register
-    resource_tracker.register = lambda *args, **kwargs: None  # type: ignore[assignment]
-    try:
-        return shared_memory.SharedMemory(name=name)
-    finally:
-        resource_tracker.register = original
-
-
-class SnapshotRing:
-    """A fixed-slot shared-memory ring of snapshot array triples.
-
-    One segment holds ``slots`` equal-size slots.  Each slot stores a
-    16-byte header (a monotonically increasing *generation* counter and
-    the job count ``n``) followed by three 8-byte-aligned arrays:
-    ``sizes`` (float64), ``costs`` (float64), ``initial`` (int64) — the
-    variable-length payload of one :class:`~repro.core.instance.Instance`.
-
-    The serving process :meth:`create`\\ s the ring, writes each decoded
-    snapshot exactly once, and is the only writer; worker processes
-    :meth:`attach` and rebuild read-only ``np.frombuffer`` views over
-    the same pages, so a solve request crossing the worker pipe shrinks
-    to ``(slot, generation, n)``.  The generation counter is the
-    recycling guard: the owner bumps it on every (re)write, a reader
-    passes the generation it was promised, and :meth:`read` returns
-    ``None`` on any mismatch instead of views over foreign data.  The
-    owner's allocation protocol (pinning slots while requests are in
-    flight) makes a mismatch unreachable in normal operation; the check
-    turns accounting bugs and ring restarts into an explicit
-    stale-segment signal rather than silent corruption.
-
-    Lifecycle: the creating process unlinks the segment in
-    :meth:`close`; attached readers only unmap.  Readers detach from
-    their resource tracker so a worker exiting never unlinks the name
-    out from under the owner.
-    """
-
-    def __init__(
-        self, shm: Any, slots: int, slot_bytes: int, *, owner: bool
-    ) -> None:
-        self._shm = shm
-        self.slots = slots
-        self.slot_bytes = slot_bytes
-        self._owner = owner
-
-    @classmethod
-    def create(cls, slots: int, slot_bytes: int) -> "SnapshotRing":
-        """Allocate a fresh ring (the caller becomes the owner)."""
-        from multiprocessing import shared_memory
-
-        if slots <= 0:
-            raise ValueError("slots must be positive")
-        if slot_bytes <= _SLOT_HEADER:
-            raise ValueError(f"slot_bytes must exceed {_SLOT_HEADER}")
-        if slot_bytes % 8:
-            raise ValueError("slot_bytes must be 8-byte aligned")
-        name = f"repro-ring-{os.getpid()}-{secrets.token_hex(4)}"
-        shm = shared_memory.SharedMemory(
-            name=name, create=True, size=slots * slot_bytes
-        )
-        return cls(shm, slots, slot_bytes, owner=True)
-
-    @classmethod
-    def attach(cls, name: str, slots: int, slot_bytes: int) -> "SnapshotRing":
-        """Map an existing ring read-mostly (worker side)."""
-        return cls(_attach_untracked(name), slots, slot_bytes, owner=False)
-
-    @property
-    def name(self) -> str:
-        return self._shm.name
-
-    @staticmethod
-    def needed_bytes(n: int) -> int:
-        """Slot bytes an ``n``-job snapshot requires (header included)."""
-        return _SLOT_HEADER + 8 * _ARRAYS_PER_SLOT * n
-
-    def fits(self, n: int) -> bool:
-        """Whether an ``n``-job snapshot fits in one slot."""
-        return self.needed_bytes(n) <= self.slot_bytes
-
-    def _offsets(self, slot: int, n: int) -> tuple[int, int, int]:
-        base = slot * self.slot_bytes + _SLOT_HEADER
-        return base, base + 8 * n, base + 16 * n
-
-    def write(
-        self,
-        slot: int,
-        generation: int,
-        sizes: np.ndarray,
-        costs: np.ndarray,
-        initial: np.ndarray,
-    ) -> None:
-        """Owner-only: publish one snapshot into ``slot``.
-
-        The caller guarantees no reader holds the slot (its allocation
-        protocol); the generation lands with the data, so a reader
-        presenting a stale generation can never validate against the
-        new contents.
-        """
-        if not self._owner:
-            raise RuntimeError("only the ring owner writes slots")
-        n = int(sizes.shape[0])
-        if not self.fits(n):
-            raise ValueError(f"{n}-job snapshot exceeds slot_bytes")
-        buf = self._shm.buf
-        o_sizes, o_costs, o_initial = self._offsets(slot, n)
-        np.frombuffer(buf, dtype="<f8", count=n, offset=o_sizes)[:] = sizes
-        np.frombuffer(buf, dtype="<f8", count=n, offset=o_costs)[:] = costs
-        np.frombuffer(buf, dtype="<i8", count=n, offset=o_initial)[:] = initial
-        struct.pack_into("<QQ", buf, slot * self.slot_bytes, generation, n)
-
-    def read(
-        self, slot: int, generation: int, n: int
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
-        """Read-only views of ``slot``, or ``None`` if it was recycled.
-
-        The views alias the shared pages — zero copies.  They stay
-        valid for as long as the owner keeps the slot's generation (the
-        owner pins slots referenced by in-flight work and by worker
-        engines' retained snapshots).
-        """
-        if not (0 <= slot < self.slots):
-            return None
-        header = struct.unpack_from("<QQ", self._shm.buf, slot * self.slot_bytes)
-        if header[0] != generation or header[1] != n:
-            return None
-        buf = self._shm.buf
-        o_sizes, o_costs, o_initial = self._offsets(slot, n)
-        sizes = np.frombuffer(buf, dtype="<f8", count=n, offset=o_sizes)
-        costs = np.frombuffer(buf, dtype="<f8", count=n, offset=o_costs)
-        initial = np.frombuffer(buf, dtype="<i8", count=n, offset=o_initial)
-        for arr in (sizes, costs, initial):
-            arr.setflags(write=False)
-        return sizes, costs, initial
-
-    def close(self) -> None:
-        """Unmap (and, for the owner, unlink) the segment.
-
-        Safe to call twice.  A reader that still exports live views
-        (a worker's engine retaining its last snapshot) keeps its
-        mapping until process exit — unmapping is best-effort.
-        """
-        if self._shm is None:
-            return
-        shm, self._shm = self._shm, None
-        try:
-            shm.close()
-        except BufferError:  # live frombuffer views keep the map alive
-            pass
-        if self._owner:
-            try:
-                shm.unlink()
-            except FileNotFoundError:  # pragma: no cover - already gone
-                pass
 
 
 # ----------------------------------------------------------------------
@@ -388,15 +201,9 @@ class PersistentWorkerPool:
         *,
         initializer: Callable[..., None] | None = None,
         initargs: tuple = (),
-        ring: SnapshotRing | None = None,
     ) -> None:
         if workers <= 0:
             raise ValueError("workers must be positive")
-        # The pool owns the optional snapshot ring's lifetime: workers
-        # attach to it during init (the ready handshake covers attach
-        # failures), and close() unlinks it only after every worker has
-        # exited — including the construction-failure path below.
-        self._ring = ring
         self._procs = []
         self._conns = []
         for _ in range(workers):
@@ -480,9 +287,6 @@ class PersistentWorkerPool:
                 proc.join(timeout)
         self._procs = []
         self._conns = []
-        if self._ring is not None:
-            self._ring.close()
-            self._ring = None
 
     def __enter__(self) -> "PersistentWorkerPool":
         return self

@@ -335,7 +335,7 @@ def bench_e15(params: dict[str, Any], log: Log):
 
 
 # ----------------------------------------------------------------------
-# E16 — shm snapshot plane vs the inline worker-pipe codec.
+# E16 — the process executor's resident solve plane: frames vs installs.
 # ----------------------------------------------------------------------
 def bench_e16(params: dict[str, Any], log: Log):
     import numpy as np
@@ -363,12 +363,14 @@ def bench_e16(params: dict[str, Any], log: Log):
     ipc_sites = tuple(params.get("ipc_sites", (6_000, 24_000)))
 
     def primed_run(server_config, loadgen_config, prime_passes=2):
-        # Walk the epoch stream through one delta client first so both
-        # legs start with warm worker caches, delta bases, ring slots.
+        # Walk the epoch stream through one client of the leg's own
+        # transport first, so both legs start with warm engines and
+        # delta bases.
         snapshots = build_snapshots(loadgen_config)
         with start_background(server_config) as handle:
             with ServiceClient(
-                handle.host, handle.port, protocol="binary", delta=True
+                handle.host, handle.port, protocol="binary",
+                delta=loadgen_config.delta,
             ) as primer:
                 for _ in range(prime_passes):
                     for snapshot in snapshots:
@@ -382,9 +384,14 @@ def bench_e16(params: dict[str, Any], log: Log):
                 status = probe.status()
         return report, alive, status
 
-    # --- part 1: solve-request bytes must not scale with the snapshot.
+    def ipc_bytes(counters):
+        return (counters.get("service.ipc_bytes_out", 0)
+                + counters.get("service.ipc_bytes_in", 0))
+
+    # --- part 1: a steady delta solve's pipe bytes must not scale with
+    # the snapshot — after one install, deltas cross as frames.
     per_solve = {}
-    shm_writes_once = True
+    installs_once = True
     for n in ipc_sites:
         rng = np.random.default_rng(n)
         inst = make_instance(
@@ -392,72 +399,79 @@ def bench_e16(params: dict[str, Any], log: Log):
             initial=rng.integers(0, 12, n),
             num_processors=12,
         )
-        config = ServerConfig(executor="process", process_workers=1,
-                              shm_slot_bytes=1 << 20)
+        sizes = inst.sizes.copy()
+        churned = rng.choice(n, size=16, replace=False)
+        sizes[churned] *= rng.uniform(0.6, 1.8, churned.shape[0])
+        changed = make_instance(
+            sizes=sizes, initial=inst.initial, num_processors=12,
+        )
+        config = ServerConfig(executor="process", process_workers=1)
         with start_background(config) as handle:
-            with ServiceClient(handle.host, handle.port) as client:
-                client.rebalance(inst, 8, shard="ipc")
-                counters = client.status()["metrics"]["counters"]
-        shm_writes_once &= counters.get("service.shm_writes") == 1
-        per_solve[n] = counters["service.ipc_bytes_out"]
+            with ServiceClient(
+                handle.host, handle.port, protocol="binary", delta=True
+            ) as client:
+                client.rebalance(inst, 8, shard="ipc", moves_only=True)
+                before = client.status()["metrics"]["counters"]
+                client.rebalance(changed, 8, shard="ipc", moves_only=True)
+                after = client.status()["metrics"]["counters"]
+                sent_delta = client.deltas_sent == 1
+        installs_once &= sent_delta and (
+            after.get("service.resident_installs") == 1
+        )
+        per_solve[n] = ipc_bytes(after) - ipc_bytes(before)
     small_n, big_n = min(per_solve), max(per_solve)
     ipc_small, ipc_big = per_solve[small_n], per_solve[big_n]
     ipc_flat = bool(ipc_big < 8 * big_n and ipc_big <= 1.5 * ipc_small)
-    log(f"[E16] solve ipc bytes: n={small_n} -> {ipc_small}B, "
+    log(f"[E16] delta solve ipc bytes: n={small_n} -> {ipc_small}B, "
         f"n={big_n} -> {ipc_big}B (flat={ipc_flat})")
 
-    # --- part 2: hunt the rate window only the shm transport carries.
+    # --- part 2: hunt the rate window only the frame transport carries.
     base, marshal_s = calibrate_shm_workload()
     rate = min(rate_cap, load_factor / marshal_s)
-    slot_bytes = 1 << max(20, (16 + 24 * base.num_sites).bit_length())
-    # Decision memo off on both legs: the cycled epochs would otherwise
+    # Response memo off on both legs: the cycled epochs would otherwise
     # be answered from the memo and the worker pipe — the transport
     # under comparison — never touched.
-    shm_config = ServerConfig(executor="process", process_workers=2,
-                              max_queue=64, shm_slot_bytes=slot_bytes,
-                              decision_cache_size=0)
-    inline_config = ServerConfig(executor="process", process_workers=2,
-                                 max_queue=64, shm=False,
-                                 decision_cache_size=0)
+    server_config = ServerConfig(executor="process", process_workers=2,
+                                 max_queue=64, decision_cache_size=0)
 
     attempts = []
     found = None
     for _ in range(max_rounds):
         lg = replace(base, rate=rate, duration_s=duration_s,
                      deadline_ms=deadline_ms, connections=8)
-        inline_leg, inline_alive, inline_status = primed_run(
-            inline_config, lg)
-        if inline_leg.goodput_per_s >= 0.6 * rate:
-            # Below the inline collapse edge: probe higher — coarsely
-            # with full margin, finely once the leg strains.
+        full_leg, full_alive, full_status = primed_run(
+            server_config, replace(lg, delta=False))
+        if full_leg.goodput_per_s >= 0.6 * rate:
+            # Below the full-snapshot collapse edge: probe higher —
+            # coarsely with full margin, finely once the leg strains.
             attempts.append({
-                "rate_per_s": rate, "outcome": "inline sustained",
-                "inline_goodput_per_s": inline_leg.goodput_per_s,
+                "rate_per_s": rate, "outcome": "full sustained",
+                "full_goodput_per_s": full_leg.goodput_per_s,
             })
-            log(f"[E16] {rate:.0f}/s: inline sustained "
-                f"({inline_leg.goodput_per_s:.1f}/s), climbing")
-            strained = inline_leg.goodput_per_s < 0.95 * rate
+            log(f"[E16] {rate:.0f}/s: full snapshots sustained "
+                f"({full_leg.goodput_per_s:.1f}/s), climbing")
+            strained = full_leg.goodput_per_s < 0.95 * rate
             rate *= rate_step if strained else rate_leap
             continue
-        shm_leg, shm_alive, shm_status = primed_run(shm_config, lg)
-        ratio = shm_leg.goodput_per_s / max(inline_leg.goodput_per_s, 1e-9)
+        delta_leg, delta_alive, delta_status = primed_run(server_config, lg)
+        ratio = delta_leg.goodput_per_s / max(full_leg.goodput_per_s, 1e-9)
         attempts.append({
             "rate_per_s": rate, "outcome": f"ratio {ratio:.1f}x",
-            "shm_goodput_per_s": shm_leg.goodput_per_s,
-            "inline_goodput_per_s": inline_leg.goodput_per_s,
+            "delta_goodput_per_s": delta_leg.goodput_per_s,
+            "full_goodput_per_s": full_leg.goodput_per_s,
         })
-        log(f"[E16] {rate:.0f}/s: shm {shm_leg.goodput_per_s:.1f}/s vs "
-            f"inline {inline_leg.goodput_per_s:.1f}/s: {ratio:.1f}x")
-        if shm_leg.goodput_per_s >= 0.6 * rate:
+        log(f"[E16] {rate:.0f}/s: frames {delta_leg.goodput_per_s:.1f}/s "
+            f"vs full {full_leg.goodput_per_s:.1f}/s: {ratio:.1f}x")
+        if delta_leg.goodput_per_s >= 0.6 * rate:
             if ratio >= 5.0:
-                found = (rate, shm_leg, shm_alive, shm_status,
-                         inline_leg, inline_alive, inline_status, ratio)
+                found = (rate, delta_leg, delta_alive, delta_status,
+                         full_leg, full_alive, full_status, ratio)
                 break
-            rate *= rate_step   # inline only grazing its edge: deepen
+            rate *= rate_step   # full leg only grazing its edge: deepen
         else:
             rate /= rate_step   # window slid below this rate: back off
 
-    # --- part 3: the quiet-cluster decision-memo fast path.
+    # --- part 3: the quiet-cluster response-memo fast path.
     steady_leg, steady_alive, steady_status = primed_run(
         ServerConfig(executor="process", process_workers=2, max_wait_ms=0.0),
         replace(base, num_sites=steady_sites, rate=steady_rate,
@@ -469,7 +483,7 @@ def bench_e16(params: dict[str, Any], log: Log):
 
     metrics = {
         "ipc_flat_across_n": ipc_flat,
-        "ipc_single_shm_write": bool(shm_writes_once),
+        "ipc_single_install": bool(installs_once),
         "found_differential_rate": found is not None,
         "steady_p50_ms": steady_leg.p50_ms,
         "steady_clean": bool(
@@ -486,39 +500,37 @@ def bench_e16(params: dict[str, Any], log: Log):
             "duration_s": duration_s, "deadline_ms": deadline_ms,
             "load_factor": load_factor,
         },
-        "ipc_bytes_per_solve": {str(n): per_solve[n] for n in per_solve},
+        "ipc_bytes_per_delta_solve": {str(n): per_solve[n] for n in per_solve},
         "attempts": attempts,
         "steady_state_memo": _leg_record(steady_leg, steady_alive),
     }
     if found is not None:
-        rate, shm_leg, shm_alive, shm_status, \
-            inline_leg, inline_alive, inline_status, ratio = found
-        shm_ipc = shm_status["metrics"]["counters"]["service.ipc_bytes_out"]
-        inline_ipc = (
-            inline_status["metrics"]["counters"]["service.ipc_bytes_out"]
-        )
-        log(f"[E16] ipc request bytes: shm {shm_ipc / 1e6:.2f}MB vs inline "
-            f"{inline_ipc / 1e6:.2f}MB")
+        rate, delta_leg, delta_alive, delta_status, \
+            full_leg, full_alive, full_status, ratio = found
+        delta_ipc = delta_status["metrics"]["counters"]["service.ipc_bytes_out"]
+        full_ipc = full_status["metrics"]["counters"]["service.ipc_bytes_out"]
+        log(f"[E16] ipc request bytes: frames {delta_ipc / 1e6:.2f}MB vs "
+            f"full {full_ipc / 1e6:.2f}MB")
         metrics.update({
             "goodput_ratio": ratio,
-            "shm_sustained": bool(shm_leg.goodput_per_s >= 0.6 * rate),
-            "shm_ipc_below_tenth_of_inline": bool(
-                shm_ipc < 0.1 * inline_ipc
+            "frames_sustained": bool(delta_leg.goodput_per_s >= 0.6 * rate),
+            "frames_ipc_below_tenth_of_full": bool(
+                delta_ipc < 0.1 * full_ipc
             ),
-            "errors_total": shm_leg.errors + inline_leg.errors,
-            "accounted_ok": _accounted(shm_leg) and _accounted(inline_leg),
-            "alive_all": bool(shm_alive and inline_alive),
+            "errors_total": delta_leg.errors + full_leg.errors,
+            "accounted_ok": _accounted(delta_leg) and _accounted(full_leg),
+            "alive_all": bool(delta_alive and full_alive),
             "queues_drained": bool(
-                shm_status["queue"]["depth"] == 0
-                and inline_status["queue"]["depth"] == 0
+                delta_status["queue"]["depth"] == 0
+                and full_status["queue"]["depth"] == 0
             ),
         })
         detail.update({
             "rate_per_s": rate,
-            "shm_plane_process": _leg_record(shm_leg, shm_alive),
-            "inline_codec_process": _leg_record(inline_leg, inline_alive),
+            "delta_frames_process": _leg_record(delta_leg, delta_alive),
+            "full_snapshots_process": _leg_record(full_leg, full_alive),
             "goodput_ratio": ratio,
-            "ipc_bytes_out": {"shm": shm_ipc, "inline": inline_ipc},
+            "ipc_bytes_out": {"frames": delta_ipc, "full": full_ipc},
         })
     return metrics, detail
 

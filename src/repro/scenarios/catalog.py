@@ -281,11 +281,11 @@ _SCENARIOS = (
     ),
     Scenario(
         scenario_id="E16",
-        title="Zero-copy shm snapshot plane vs worker-pipe codec",
+        title="Process workers' resident plane: delta frames vs full installs",
         workload=WorkloadAxis(family="calibrated", calibration="shm",
                               sizes="drifting"),
         traffic=TrafficAxis(kind="steady+drift", arrival="open-loop"),
-        transport=TransportAxis(wire="v2+delta", executor="process+shm"),
+        transport=TransportAxis(wire="v2+delta", executor="process"),
         table="E16",
         table_tiers=_SERVICE_BENCH_TABLE_TIERS,
         bench="e16-shm",
@@ -294,11 +294,11 @@ _SCENARIOS = (
                           "rate_leap": 1.3, "max_rounds": 8}},
         acceptance=(
             Check("ipc_flat_across_n", "truthy"),
-            Check("ipc_single_shm_write", "truthy"),
+            Check("ipc_single_install", "truthy"),
             Check("found_differential_rate", "truthy"),
             Check("goodput_ratio", ">=", 5.0),
-            Check("shm_sustained", "truthy"),
-            Check("shm_ipc_below_tenth_of_inline", "truthy"),
+            Check("frames_sustained", "truthy"),
+            Check("frames_ipc_below_tenth_of_full", "truthy"),
             Check("errors_total", "==", 0),
             Check("accounted_ok", "truthy"),
             Check("alive_all", "truthy"),
@@ -307,11 +307,11 @@ _SCENARIOS = (
             Check("steady_clean", "truthy"),
         ),
         drift=DriftPolicy(
-            exact=("ipc_flat_across_n", "ipc_single_shm_write",
+            exact=("ipc_flat_across_n", "ipc_single_install",
                    "found_differential_rate", "steady_clean",
                    "errors_total", "accounted_ok", "alive_all",
-                   "queues_drained", "shm_sustained",
-                   "shm_ipc_below_tenth_of_inline"),
+                   "queues_drained", "frames_sustained",
+                   "frames_ipc_below_tenth_of_full"),
             # goodput_ratio comes from the hunted collapse window
             # (historically 5x..80x) -- acceptance floor only.
             band={"steady_p50_ms": 4.0},

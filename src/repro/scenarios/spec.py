@@ -92,8 +92,7 @@ class TransportAxis:
     backend: str = "kernel"      # DP backend: "kernel" | "reference" | "both"
     engine: str = "scratch"      # "scratch" | "warm" | "incremental" | "both"
     wire: str = "none"           # "none" | "v1" | "v2" | "v2+delta" | "both"
-    executor: str = "inline"     # "inline" | "thread" | "process" |
-                                 # "process+shm" | "both"
+    executor: str = "inline"     # "inline" | "thread" | "process" | "both"
     router_backends: int = 0     # backend processes behind a router
     router_workers: int | str = 0  # data-plane worker processes
                                    # ("1..N" for E19's scaling sweep)

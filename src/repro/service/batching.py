@@ -64,17 +64,16 @@ class BatchConfig:
 class UniqueSolve:
     """One distinct snapshot within a batch and everyone awaiting it.
 
-    ``shm`` is the snapshot's ``(slot, generation)`` ring token,
-    inherited from the first request of the group: deduped requests
-    share one fingerprint, hence one slot, and each of them holds its
-    own pin, so the token outlives the whole solve.
+    Also the unit a :class:`~repro.service.server.SolvePlane` solves;
+    a process worker rebuilds it from the worker-pipe form with no
+    ``requests``.
     """
 
     shard: str
     k: int
     instance: Instance | None
     requests: list[PendingRequest] = field(default_factory=list)
-    shm: tuple[int, int] | None = None
+    fingerprint: bytes = b""
     # Resident-path plumbing, inherited from the first request of the
     # group (see PendingRequest).
     install: bool = False
@@ -136,14 +135,22 @@ class MicroBatcher:
                 request.shard, request.k, request.fingerprint,
                 request.moves_only, request.apply_only,
             )
-            solve = index.get(key) if self.config.dedupe else None
+            # A request that advances the shard's resident state (frames
+            # or an install) never folds into an earlier solve: a state
+            # stream can revisit a fingerprint (A -> B -> A), and
+            # dropping the later transition would leave the solve plane
+            # behind the admission tip.
+            mergeable = self.config.dedupe and not (
+                request.frames or request.install
+            )
+            solve = index.get(key) if mergeable else None
             if solve is not None:
                 solve.requests.append(request)
                 deduped += 1
                 continue
             solve = UniqueSolve(
                 shard=request.shard, k=request.k, instance=request.instance,
-                requests=[request], shm=request.shm,
+                requests=[request], fingerprint=request.fingerprint,
                 install=request.install, moves_only=request.moves_only,
                 frames=request.frames, apply_only=request.apply_only,
             )

@@ -78,27 +78,13 @@ def _server_arguments(parser: argparse.ArgumentParser) -> None:
     )
     parser.add_argument(
         "--executor", choices=("thread", "process"), default="thread",
-        help="where shard engines live: this process (thread fan-out) "
-        "or a pool of long-lived worker processes with shard affinity",
+        help="where the solve plane (warm engines and resident arrays) "
+        "lives: this process (thread fan-out) or a pool of long-lived "
+        "worker processes with shard affinity",
     )
     parser.add_argument(
         "--process-workers", type=int, default=2,
         help="worker processes for --executor process",
-    )
-    parser.add_argument(
-        "--no-shm", action="store_true",
-        help="disable the shared-memory snapshot plane (--executor "
-        "process defaults to shm: workers read snapshots zero-copy "
-        "from a shm ring instead of receiving arrays over the pipe)",
-    )
-    parser.add_argument(
-        "--shm-slots", type=int, default=128,
-        help="snapshot ring slots (distinct live snapshots)",
-    )
-    parser.add_argument(
-        "--shm-slot-bytes", type=int, default=1 << 20,
-        help="bytes per ring slot (bounds the largest shm snapshot; "
-        "bigger snapshots fall back to the inline codec path)",
     )
     parser.add_argument(
         "--naive", action="store_true",
@@ -119,8 +105,6 @@ def _config_from(args: argparse.Namespace) -> ServerConfig:
         host=args.host, port=args.port, max_queue=args.max_queue,
         solver_workers=args.solver_workers,
         executor=args.executor, process_workers=args.process_workers,
-        shm=not args.no_shm, shm_slots=args.shm_slots,
-        shm_slot_bytes=args.shm_slot_bytes,
         solve_delay_s=args.solve_delay_ms / 1e3,
     )
     if args.naive:
@@ -173,8 +157,6 @@ def _spawn_backends(
     extra: list[str] = ["--executor", args.executor]
     if args.executor == "process":
         extra += ["--process-workers", str(args.process_workers)]
-        if args.no_shm:
-            extra.append("--no-shm")
     if args.naive:
         extra.append("--naive")
     processes: list[ServeProcess] = []
@@ -223,7 +205,6 @@ def router_main(argv: list[str] | None = None) -> int:
         help="executor for --spawn backends",
     )
     parser.add_argument("--process-workers", type=int, default=2)
-    parser.add_argument("--no-shm", action="store_true")
     parser.add_argument("--naive", action="store_true")
     parser.add_argument(
         "--vnodes", type=int, default=64,

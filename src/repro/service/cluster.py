@@ -1,6 +1,6 @@
 """The cluster tier: a shard-routing coordinator over N backend nodes.
 
-One host saturates (process executor + shm snapshot plane), so the
+One host saturates (process executor + resident solve planes), so the
 next order of magnitude is across hosts.  :class:`ClusterRouter` is a
 coordinator process that speaks the existing v2 binary protocol (and
 v1 JSON) on *both* sides: clients connect to the router exactly as

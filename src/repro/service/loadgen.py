@@ -328,19 +328,19 @@ def calibrate_shm_workload(
 ) -> tuple[LoadGenConfig, float]:
     """Grow the snapshot until one inline worker-pipe marshal round —
     packing a solve entry with full arrays, unpacking it, and rebuilding
-    the :class:`Instance` the way a worker process does — costs at
-    least ``target_marshal_s`` on this host; return the (churn-traffic,
-    delta-transport) config and the measured marshal time.
+    the :class:`Instance` — costs at least ``target_marshal_s`` on this
+    host; return the (churn-traffic, delta-transport) config and the
+    measured marshal time.
 
-    E16 compares snapshot transports *between* the serving process and
-    its workers: the inline codec path pays this marshal round per
-    dispatched solve, the shm plane pays O(1) per dispatch after one
-    ring write per distinct snapshot.  Pinning the marshal time pins
-    the inline leg's per-request overhead across hosts, exactly as
-    :func:`calibrate_wire_workload` pins the v1 codec time for E15.
-    Churn traffic (every snapshot distinct, sparsely) keeps the
-    fingerprint dedupe and the decision memo from collapsing repeated
-    requests, so every request prices the transport.
+    E16 compares what crosses the pipe *between* the serving process
+    and its workers: a full-snapshot request installs its arrays, so it
+    pays this marshal round per dispatched solve, while a delta on the
+    resident tip ships only its changed sites.  Pinning the marshal
+    time pins the full-snapshot leg's per-request overhead across
+    hosts, exactly as :func:`calibrate_wire_workload` pins the v1 codec
+    time for E15.  Churn traffic (every snapshot distinct, sparsely)
+    keeps the fingerprint dedupe and the response memo from collapsing
+    repeated requests, so every request prices the transport.
 
     ``max_sites`` is deliberately tight: both legs pay the O(n)
     response mapping on the pipe and the TCP socket, so past the cap

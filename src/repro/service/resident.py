@@ -19,13 +19,15 @@ Two residents exist per shard because the server has two planes:
 * the **admission plane** (:class:`ResidentShard`) lives on the event
   loop and owns the tip fingerprint clients rebase on;
 * the **solve plane** (:class:`SolveResident`) lives on the solve
-  thread and replays committed frames — in commit order, possibly
-  several per solve when earlier requests were answered from the
-  response memo — onto its own arrays just before handing the engine a
-  zero-copy :meth:`~repro.core.instance.Instance.trusted` view plus the
+  thread, or in the process worker that owns the shard, and replays
+  committed frames — in commit order, possibly several per solve when
+  earlier requests were answered from the response memo — onto its own
+  arrays just before handing the engine a zero-copy
+  :meth:`~repro.core.instance.Instance.trusted` view plus the
   accumulated churn hint.
 
-The split means neither plane ever reads arrays the other is writing.
+The split means neither plane ever reads arrays the other is writing,
+and a frame crossing a worker pipe needs only its sites and new values.
 Frames ride the admitted request they were committed for (the
 admission queue is FIFO and a batch lane solves in arrival order, so
 the solve plane sees frames in exactly commit order); frames whose
@@ -58,7 +60,9 @@ class Frame:
 
     ``old_*`` are the values the sites held *before* this frame — the
     exact shape of the engine's churn hint and of one
-    :meth:`~repro.core.rollhash.RollingFingerprint.roll` call.
+    :meth:`~repro.core.rollhash.RollingFingerprint.roll` call.  Frames
+    rebuilt from the worker pipe carry no ``old_*``:
+    :meth:`SolveResident.apply` gathers them itself.
     """
 
     __slots__ = (
@@ -72,9 +76,9 @@ class Frame:
         sizes: np.ndarray,
         costs: np.ndarray,
         initial: np.ndarray,
-        old_sizes: np.ndarray,
-        old_costs: np.ndarray,
-        old_initial: np.ndarray,
+        old_sizes: np.ndarray | None = None,
+        old_costs: np.ndarray | None = None,
+        old_initial: np.ndarray | None = None,
     ) -> None:
         self.idx = idx
         self.sizes = sizes
@@ -135,7 +139,7 @@ class ResidentShard:
         self.fp_hex = self.fp.digest().hex()
         self.pending: list[Frame] = []
         # True until the solve plane has been sent a full snapshot; a
-        # fresh resident starts stale because the solve thread has
+        # fresh resident starts stale because the solve plane has
         # never seen these arrays.
         self.needs_install = True
 
@@ -165,6 +169,32 @@ class ResidentShard:
             sizes, costs, initial,
         )
         return frame, fp
+
+    def delta_to(self, instance: Instance) -> dict | None:
+        """The wire delta taking the tip to ``instance``, or ``None``
+        when the shapes differ.
+
+        One O(n) vectorized compare.  Sites are compared bit for bit,
+        so the rolled fingerprint of the delta equals
+        ``instance``'s own.
+        """
+        if (
+            instance.num_jobs != self.num_jobs
+            or instance.num_processors != self.num_processors
+        ):
+            return None
+        sizes = np.ascontiguousarray(instance.sizes, dtype=np.float64)
+        costs = np.ascontiguousarray(instance.costs, dtype=np.float64)
+        initial = np.ascontiguousarray(instance.initial, dtype=np.int64)
+        idx = np.flatnonzero(
+            (self.sizes.view(np.int64) != sizes.view(np.int64))
+            | (self.costs.view(np.int64) != costs.view(np.int64))
+            | (self.initial != initial)
+        )
+        return {
+            "base": self.fp_hex, "idx": idx, "sizes": sizes[idx],
+            "costs": costs[idx], "initial": initial[idx],
+        }
 
     def commit(self, frame: Frame, fp: RollingFingerprint) -> None:
         """Advance the tip: scatter the frame and adopt its fingerprint."""
@@ -213,7 +243,7 @@ class ResidentShard:
 
 
 class SolveResident:
-    """Solve-thread resident: replays frames, serves trusted views."""
+    """Solve-plane resident: replays frames, serves trusted views."""
 
     __slots__ = ("sizes", "costs", "initial", "num_processors")
 
@@ -264,8 +294,8 @@ class SolveResident:
 
         The engine's hint contract explicitly supports instances that
         alias its own tables' snapshot, so no copies are taken; the
-        arrays must not be mutated until the solve completes (the solve
-        thread runs one batch at a time, which guarantees it).
+        arrays must not be mutated until the solve completes (a solve
+        plane runs one batch at a time, which guarantees it).
         """
         return Instance.trusted(
             self.sizes, self.costs, self.num_processors, self.initial

@@ -1,42 +1,56 @@
 """The asyncio rebalancing server.
 
-``queue → batcher → engine pool``: connections are parsed on the event
+``queue → batcher → solve plane``: connections are parsed on the event
 loop, admitted into the bounded :class:`~repro.service.admission.AdmissionQueue`,
 drained by the :class:`~repro.service.batching.MicroBatcher`, and solved
-by per-shard warm :class:`~repro.core.engine.RebalanceEngine` instances,
-so every shard's epoch stream hits the threshold-table and fingerprint
-caches exactly as an in-process engine would.  The event loop never
-blocks on a solve: each batch is one ``run_in_executor`` hop.
+by a :class:`SolvePlane` of per-shard warm
+:class:`~repro.core.engine.RebalanceEngine` instances, so every shard's
+epoch stream hits the threshold-table and fingerprint caches exactly as
+an in-process engine would.  The event loop never blocks on a solve:
+each batch is one ``run_in_executor`` hop.
 
-Two shard executors (``ServerConfig.executor``):
+Each shard's state lives twice, split by who touches it:
 
-* ``"thread"`` (default) — shard engines live in this process; the
-  executor hop fans independent shard lanes out via
+* the **admission plane** on the event loop — per shard a writable
+  :class:`~repro.service.resident.ResidentShard` (the tip clients
+  rebase on) plus a response memo.  A delta frame whose base is the
+  resident tip is applied in O(changed sites) and travels on as a
+  :class:`~repro.service.resident.Frame`; a full snapshot reseeds the
+  tip and is installed on the solve plane once.
+* the **solve plane** — per shard the warm engine and a
+  :class:`~repro.service.resident.SolveResident` that replays the
+  frames, so every decide gets a churn hint.
+
+Two shard executors (``ServerConfig.executor``) differ only in where
+the solve plane runs; both run the same :class:`SolvePlane` code:
+
+* ``"thread"`` (default) — one plane in this process, on the solve
+  thread; independent shard lanes fan out via
   :func:`repro.parallel.run_sweep` worker threads.  Zero setup cost,
   but all lanes share the GIL.
-* ``"process"`` — shard engines live in ``process_workers`` long-lived
+* ``"process"`` — one plane in each of ``process_workers`` long-lived
   worker processes (:class:`repro.parallel.PersistentWorkerPool`);
   every shard is pinned to one worker by a stable hash, so its warm
-  engine state survives across batches exactly as in thread mode.
-  Request arrays cross the pipe in the v2 binary codec
-  (:func:`repro.service.protocol.pack_payload` — raw buffers, no JSON,
-  no pickle), and independent shards use real cores instead of threads
-  contending on the GIL.
+  engine and resident arrays survive across batches, and independent
+  shards use real cores instead of threads contending on the GIL.
+  Lanes cross the pipe in the v2 binary codec
+  (:func:`repro.service.protocol.pack_payload` — raw buffers, no JSON
+  arrays, no pickle): full arrays once per install, O(churn) frames
+  after that.
 
 The server speaks both wire formats of :mod:`repro.service.protocol`
 (v1 length-prefixed JSON and v2 binary with delta frames) on one port
-and answers each request in the format it arrived in.  Delta frames
-resolve against a per-shard LRU of recent snapshots keyed by
-fingerprint, so steady-state clients ship only changed sites and the
-warm engine patches only changed buckets — the server never rebuilds
-what it already holds.
+and answers each request in the format it arrived in.  A delta whose
+base lags the resident tip resolves against a per-shard LRU of recent
+snapshots keyed by fingerprint and reaches the solve plane as a frame
+against the tip.
 
 Decisions are byte-identical to in-process
 :func:`repro.core.partition.m_partition_rebalance` calls on the same
 snapshots (the engine's transparent-acceleration contract, plus the
 batcher's dedupe only collapsing byte-identical snapshots); the
 end-to-end websim differential test pins this across v1-JSON,
-v2-binary, and v2-delta transports.
+v2-binary, and v2-delta transports and both executors.
 
 :class:`ServerConfig.naive` is the control: batch size 1, no dedupe,
 no warm engine — the one-request-per-solve server benchmark E14
@@ -64,10 +78,11 @@ from ..core.engine import RebalanceEngine, snapshot_fingerprint
 from ..core.instance import Instance, apply_delta
 from ..core.partition import m_partition_rebalance
 from ..core.result import RebalanceResult
-from ..parallel import PersistentWorkerPool, SnapshotRing, run_sweep
+from ..core.rollhash import RollingFingerprint
+from ..parallel import PersistentWorkerPool, run_sweep
 from .admission import AdmissionQueue, PendingRequest
 from .batching import BatchConfig, MicroBatcher, ShardLane, UniqueSolve
-from .resident import ResidentShard, SolveResident
+from .resident import Frame, ResidentShard, SolveResident
 from .protocol import (
     ProtocolError,
     encode_frame,
@@ -83,6 +98,7 @@ __all__ = [
     "ServerConfig",
     "ServerHandle",
     "ShardState",
+    "SolvePlane",
     "start_background",
 ]
 
@@ -102,33 +118,17 @@ class ServerConfig:
     engine_cache_size: int = 64
     executor: str = "thread"  # "thread" | "process"
     process_workers: int = 2
-    base_cache_size: int = 32  # delta base snapshots kept per shard
-    # Shared-memory snapshot plane (process executor only): decoded
-    # snapshots are written once into a shm ring and workers rebuild
-    # zero-copy views, so solve requests stop carrying arrays.  ``shm``
-    # opts out; the slot geometry bounds the plane's footprint at
-    # ``shm_slots * shm_slot_bytes``.  The first snapshot too big for
-    # one slot grows the ring (slot size doubles until it fits, capped
-    # at ``shm_max_slot_bytes``) instead of silently demoting that
-    # shard to the inline codec forever; only snapshots beyond the cap
-    # keep falling back to inline.
-    shm: bool = True
-    shm_slots: int = 128
-    shm_slot_bytes: int = 1 << 20
-    shm_max_slot_bytes: int = 1 << 27
-    # Server-side decision memo (process executor only): repeated
-    # ``(shard, k, fingerprint)`` solves answer on the event loop
-    # without a worker-pipe round trip — the steady-state fast path
-    # that keeps p50 at loop latency when the cluster barely changes.
-    # 0 disables (the worker's own decision cache still applies).
+    # Delta base snapshots kept per shard.  With the warm engine on, a
+    # positive value also turns on the resident admission plane (the
+    # O(churn) delta path); 0 solves every request from its snapshot.
+    base_cache_size: int = 32
+    # Event-loop response memo: repeated ``(shard, k, fingerprint,
+    # moves_only)`` decides on the resident path answer without a
+    # batch, a solve-thread hop or a worker-pipe round trip — the
+    # steady-state fast path that keeps p50 at loop latency when the
+    # cluster barely changes.  0 disables (the engine's own decision
+    # cache still applies).
     decision_cache_size: int = 128
-    # Resident shard arrays (thread executor only, needs the warm
-    # engine): delta frames are applied in place onto per-shard
-    # resident arrays in O(changed sites) — no Instance
-    # reconstruction, no full-array rehash — and the engine receives
-    # the changed-site set as a churn hint.  ``False`` restores the
-    # delta-base LRU path for every request.
-    resident: bool = True
     # Synthetic per-solve service-time floor (thread executor only):
     # each solve sleeps this long on the solve thread after computing.
     # Sleeping releases the GIL and the core, so a node's capacity
@@ -144,12 +144,6 @@ class ServerConfig:
             raise ValueError("process_workers must be positive")
         if self.base_cache_size < 0:
             raise ValueError("base_cache_size must be non-negative")
-        if self.shm_slots <= 0:
-            raise ValueError("shm_slots must be positive")
-        if self.shm_slot_bytes <= 0 or self.shm_slot_bytes % 8:
-            raise ValueError("shm_slot_bytes must be positive and 8-byte aligned")
-        if self.shm_max_slot_bytes < self.shm_slot_bytes:
-            raise ValueError("shm_max_slot_bytes must be >= shm_slot_bytes")
         if self.decision_cache_size < 0:
             raise ValueError("decision_cache_size must be non-negative")
         if self.solve_delay_s < 0:
@@ -182,12 +176,7 @@ class ServerConfig:
             "executor": self.executor,
             "process_workers": self.process_workers,
             "base_cache_size": self.base_cache_size,
-            "shm": self.shm,
-            "shm_slots": self.shm_slots,
-            "shm_slot_bytes": self.shm_slot_bytes,
-            "shm_max_slot_bytes": self.shm_max_slot_bytes,
             "decision_cache_size": self.decision_cache_size,
-            "resident": self.resident,
             "solve_delay_s": self.solve_delay_s,
         }
 
@@ -209,59 +198,25 @@ class ShardState:
         }
 
 
-def _get_shard_state(
-    shards: dict[str, ShardState],
-    name: str,
-    k: int,
-    use_engine: bool,
-    engine_cache_size: int,
-) -> tuple[ShardState, bool]:
-    """The shard's state, (re)building its engine on a ``k`` change.
-
-    An engine is pinned to one move budget; a request that switches a
-    shard's ``k`` retires the warm engine and starts cold (counted in
-    ``service.shard_rebuilds`` — keep per-``k`` streams on separate
-    shards to avoid the churn).  Shared by the in-process thread path
-    and the worker processes; returns ``(state, rebuilt)``.
-    """
-    state = shards.get(name)
-    rebuilt = False
-    if state is None:
-        state = ShardState(
-            name=name,
-            k=k,
-            engine=RebalanceEngine(k=k, cache_size=engine_cache_size)
-            if use_engine else None,
-        )
-        shards[name] = state
-    elif state.k != k:
-        rebuilt = True
-        state.k = k
-        if use_engine:
-            state.engine = RebalanceEngine(k=k, cache_size=engine_cache_size)
-    return state, rebuilt
-
-
-def _result_response(state: ShardState, result: RebalanceResult) -> dict[str, Any]:
-    return ok_response(
-        mapping=result.assignment.mapping,
-        guessed_opt=float(result.guessed_opt),
-        planned_moves=int(result.planned_moves),
-        algorithm=result.algorithm,
-        shard=state.name,
-    )
-
-
-def _moves_response(
-    state: ShardState, result: RebalanceResult, instance: Instance
+def _response(
+    state: ShardState, result: RebalanceResult, moves_only: bool
 ) -> dict[str, Any]:
-    """Compact response form: the moved sites instead of the mapping.
+    """A decision's ok response: the full mapping, or the compact form.
 
-    O(moves) on the wire instead of O(n) — at a million sites the full
-    mapping is the response's dominant cost.  The client reconstructs
-    ``mapping = initial.copy(); mapping[moves_idx] = moves_to``.
+    The compact (``moves_only``) form lists the moved sites instead of
+    the mapping — O(moves) on the wire instead of O(n); at a million
+    sites the full mapping is the response's dominant cost.  The client
+    reconstructs ``mapping = initial.copy(); mapping[moves_idx] = moves_to``.
     """
+    common = {
+        "guessed_opt": float(result.guessed_opt),
+        "planned_moves": int(result.planned_moves),
+        "algorithm": result.algorithm,
+        "shard": state.name,
+    }
     mapping = result.assignment.mapping
+    if not moves_only:
+        return ok_response(mapping=mapping, **common)
     # O(moves) when the solver cached its relocation set; identical to
     # the flatnonzero diff (ascending actual relocations) either way.
     moved = result.assignment.moved_jobs
@@ -269,238 +224,219 @@ def _moves_response(
         moves_idx=moved,
         moves_to=mapping[moved],
         num_jobs=int(mapping.shape[0]),
-        guessed_opt=float(result.guessed_opt),
-        planned_moves=int(result.planned_moves),
-        algorithm=result.algorithm,
-        shard=state.name,
+        **common,
     )
 
 
-def _solve_one(
-    state: ShardState, instance: Instance, k: int, fingerprint: bytes | None
-) -> dict[str, Any]:
-    """One solve on one shard; never raises (a failed solve must not
-    take the batch loop — or a worker process — down with it)."""
-    try:
-        if state.engine is not None:
-            result = state.engine.rebalance(instance, fingerprint=fingerprint)
-        else:
-            result = m_partition_rebalance(instance, k)
-        state.decisions += 1
-        return _result_response(state, result)
-    except Exception as exc:
-        return error_response(
-            "solve failed", message=f"{type(exc).__name__}: {exc}"
-        )
+class SolvePlane:
+    """Every shard's solve-side state and the one decide path over it.
 
+    Per shard: the warm engine (:class:`ShardState`) and the solve-side
+    resident arrays (:class:`SolveResident`).  The thread executor runs
+    one plane on its solve thread; the process executor runs one in each
+    worker process, holding the shards pinned to that worker.  Either
+    way the plane sees each shard's solves in admission order and one
+    batch at a time, so nothing here locks.
 
-class _SnapshotPlane:
-    """Server-side allocator/accountant for the :class:`SnapshotRing`.
-
-    Keyed by snapshot fingerprint: the first time a fingerprint is seen
-    it is written into a free (or recycled) slot; every later reference
-    is a dictionary lookup — write-once, attach-many.  A slot is
-    recyclable only when nothing can still read it:
-
-    * ``holds`` — delta-base LRU entries referencing the fingerprint
-      (one per shard whose LRU holds it);
-    * ``pins`` — in-flight requests (pinned from admission until the
-      response future resolves, so a slot under a live solve is never
-      rewritten mid-read);
-    * worker retention — each worker's engines keep the last snapshot
-      per shard alive for table diffing; workers report those slots
-      with every reply and the plane refuses to recycle them.
-
-    Allocation and hold/pin bookkeeping run on the event loop only;
-    the solve thread only replaces per-worker retained maps (atomic
-    dict assignment), which is the single cross-thread touch point.
-    A retained map is always reported *after* the round whose request
-    pins covered the newly retained slots, so the event loop never
-    recycles a slot between a worker acquiring it and reporting it.
+    A solve arrives in one of three forms (see :class:`UniqueSolve`):
+    ``install`` reseeds the shard's resident arrays from ``instance``;
+    ``frames`` replay committed deltas onto them (``instance`` is
+    ``None``); and a bare ``instance`` without ``install`` is solved
+    from scratch (the no-engine path).  The first two decide on a
+    zero-copy view of the resident arrays with the accumulated churn
+    hint.
     """
 
     def __init__(
         self,
-        ring: SnapshotRing,
-        metrics: telemetry.Collector,
         *,
-        max_slot_bytes: int | None = None,
+        use_engine: bool,
+        engine_cache_size: int,
+        solve_delay_s: float = 0.0,
+        metrics: telemetry.Collector | None = None,
     ) -> None:
-        self.ring = ring
-        self.metrics = metrics
-        self.max_slot_bytes = max_slot_bytes or ring.slot_bytes
-        # Ring epoch: bumped on every grow.  Pin tokens carry the epoch
-        # they were issued under so a token from before a swap can
-        # neither corrupt the new ring's accounting (``unpin`` ignores
-        # it) nor reach a worker as a slot reference (``_wire_solve``
-        # falls back to inline arrays for stale-epoch tokens).
-        self.epoch = 0
-        self.pending_attach = False  # solve thread must re-attach workers
-        self._retired: list[SnapshotRing] = []
-        self._slot_of: dict[str, int] = {}
-        self._fp_of: list[str | None] = [None] * ring.slots
-        self._generations: list[int] = [0] * ring.slots
-        self._holds: list[int] = [0] * ring.slots
-        self._pins: list[int] = [0] * ring.slots
-        self._order: OrderedDict[int, None] = OrderedDict()  # assigned, LRU
-        self._free: list[int] = list(range(ring.slots - 1, -1, -1))
-        self._retained: dict[int, dict[str, int]] = {}  # worker -> shard -> slot
+        self.use_engine = use_engine
+        self.engine_cache_size = engine_cache_size
+        self.solve_delay_s = solve_delay_s
+        self.metrics = metrics if metrics is not None else telemetry.Collector()
+        self.shards: dict[str, ShardState] = {}
+        self.residents: dict[str, SolveResident] = {}
 
-    # -- event-loop side -----------------------------------------------
-    def _retained_slots(self) -> set[int]:
-        slots: set[int] = set()
-        for mapping in self._retained.values():
-            slots.update(mapping.values())
-        return slots
+    def _engine(self, k: int) -> RebalanceEngine | None:
+        if not self.use_engine:
+            return None
+        return RebalanceEngine(k=k, cache_size=self.engine_cache_size)
 
-    def _allocate(self) -> int | None:
-        if self._free:
-            return self._free.pop()
-        retained = self._retained_slots()
-        for slot in self._order:  # least recently used first
-            if (
-                self._holds[slot] == 0
-                and self._pins[slot] == 0
-                and slot not in retained
-            ):
-                return slot
-        return None
+    def _state(self, name: str, k: int) -> ShardState:
+        """The shard's state, (re)building its engine on a ``k`` change.
 
-    def _grow(self, needed_bytes: int) -> bool:
-        """Swap in a ring with bigger slots (event loop only).
-
-        The first oversize snapshot grows the plane instead of silently
-        demoting every request for that shard to the inline codec: slot
-        size doubles until the snapshot fits (capped at
-        ``max_slot_bytes``), a fresh segment replaces the old one, and
-        all bookkeeping resets — outstanding pin/hold references are
-        epoch-guarded, and in-flight slot references degrade to the
-        stale-segment inline retry.  Workers attach lazily: the solve
-        thread broadcasts the new segment before its next batch.
+        An engine is pinned to one move budget; a request that switches
+        a shard's ``k`` retires the warm engine and starts cold (counted
+        in ``service.shard_rebuilds`` — keep per-``k`` streams on
+        separate shards to avoid the churn).
         """
-        slot_bytes = self.ring.slot_bytes
-        while slot_bytes < needed_bytes:
-            slot_bytes *= 2
-        if slot_bytes > self.max_slot_bytes:
-            self.metrics.add("service.shm_grow_failed")
-            return False
+        state = self.shards.get(name)
+        if state is None:
+            state = self.shards[name] = ShardState(
+                name=name, k=k, engine=self._engine(k)
+            )
+        elif state.k != k:
+            self.metrics.add("service.shard_rebuilds")
+            state.k = k
+            state.engine = self._engine(k)
+        return state
+
+    def solve_lane(
+        self, shard: str, solves: list[UniqueSolve]
+    ) -> list[dict[str, Any] | None]:
+        """One shard's solves in order; one response per solve
+        (``None`` for an apply-only solve).  Never raises."""
+        responses: list[dict[str, Any] | None] = []
+        for solve in solves:
+            state = self._state(shard, solve.k)
+            if solve.install or solve.instance is None:
+                responses.append(self._solve_resident(state, solve))
+            else:
+                responses.append(self._solve_inline(state, solve))
+            if self.solve_delay_s:
+                time.sleep(self.solve_delay_s)
+        return responses
+
+    def _solve_inline(
+        self, state: ShardState, solve: UniqueSolve
+    ) -> dict[str, Any]:
+        """Solve a shipped snapshot (a failed solve must not take the
+        batch loop — or a worker process — down with it)."""
         try:
-            ring = SnapshotRing.create(self.ring.slots, slot_bytes)
-        except OSError:
-            self.metrics.add("service.shm_grow_failed")
-            return False
-        self._retired.append(self.ring)
-        self.ring = ring
-        self.epoch += 1
-        self.pending_attach = True
-        self._slot_of.clear()
-        self._fp_of = [None] * ring.slots
-        # _generations carries over: a slot's counter is monotonic for
-        # the server's lifetime, so a reference into a retired segment
-        # can never validate against the new segment's contents (the
-        # new ring starts with zeroed headers and writes keep counting
-        # up from where the old ring left off).
-        self._holds = [0] * ring.slots
-        self._pins = [0] * ring.slots
-        self._order.clear()
-        self._free = list(range(ring.slots - 1, -1, -1))
-        self._retained.clear()
-        self.metrics.add("service.shm_grows")
-        return True
+            if state.engine is not None:
+                result = state.engine.rebalance(
+                    solve.instance, fingerprint=solve.fingerprint
+                )
+            else:
+                result = m_partition_rebalance(solve.instance, solve.k)
+            state.decisions += 1
+            return _response(state, result, solve.moves_only)
+        except Exception as exc:
+            return error_response(
+                "solve failed", message=f"{type(exc).__name__}: {exc}"
+            )
 
-    def note_attached(self, epoch: int) -> None:
-        """Solve thread: workers now attached to the ``epoch`` ring.
-
-        Retired segments are unlinked here — after the broadcast, so no
-        worker can be asked to attach a name that is already gone.  (A
-        worker still holding views into a retired segment keeps its own
-        mapping alive; unlink only removes the name.)  If the event
-        loop grew the ring *again* mid-broadcast, ``pending_attach``
-        stays set and the next batch re-broadcasts.
-        """
-        if self.epoch == epoch:
-            self.pending_attach = False
-        while self._retired:
-            self._retired.pop().close()
-
-    def _ensure(self, fp_hex: str, instance: Instance) -> int | None:
-        slot = self._slot_of.get(fp_hex)
-        if slot is not None:
-            self._order.move_to_end(slot)
-            return slot
-        if not self.ring.fits(instance.num_jobs):
-            self.metrics.add("service.shm_oversize")
-            if not self._grow(SnapshotRing.needed_bytes(instance.num_jobs)):
+    def _solve_resident(
+        self, state: ShardState, solve: UniqueSolve
+    ) -> dict[str, Any] | None:
+        """Apply the solve's frames — or reinstall from its snapshot —
+        onto the shard's resident arrays, then decide with the
+        accumulated churn hint."""
+        engine = state.engine
+        try:
+            sres = self.residents.get(state.name)
+            if solve.install:
+                sres = self.residents[state.name] = SolveResident(solve.instance)
+                hint = None
+                if engine is not None and (
+                    solve.apply_only or engine.has_pending_churn
+                ):
+                    # An arbitrary replacement snapshot invalidates the
+                    # warm tables: pending churn only describes the
+                    # sites it names, and an apply-only install leaves
+                    # no decide to re-anchor them.  Start cold.
+                    engine.reset()
+            else:
+                if sres is None:
+                    return error_response(
+                        "solve failed", shard=state.name,
+                        message="resident solve without installed state",
+                    )
+                hint = sres.apply(solve.frames)
+            if solve.apply_only:
+                if hint is not None and engine is not None:
+                    engine.note_churn(*hint)
                 return None
-        slot = self._allocate()
-        if slot is None:
-            self.metrics.add("service.shm_full")
-            return None
-        evicted = self._fp_of[slot]
-        if evicted is not None:
-            del self._slot_of[evicted]
-        generation = self._generations[slot] + 1
-        self.ring.write(
-            slot, generation, instance.sizes, instance.costs, instance.initial
-        )
-        self._generations[slot] = generation
-        self._fp_of[slot] = fp_hex
-        self._slot_of[fp_hex] = slot
-        self._order[slot] = None
-        self._order.move_to_end(slot)
-        self.metrics.add("service.shm_writes")
-        return slot
+            instance = sres.view()
+            result = engine.rebalance(
+                instance, fingerprint=solve.fingerprint, changed=hint
+            )
+            state.decisions += 1
+            return _response(state, result, solve.moves_only)
+        except Exception as exc:
+            # The engine may be mid-patch: drop its state so the next
+            # decide rebuilds from the resident arrays.
+            if engine is not None:
+                engine.reset()
+            return error_response(
+                "solve failed", message=f"{type(exc).__name__}: {exc}"
+            )
 
-    def pin(self, fp_hex: str, instance: Instance) -> tuple[int, int, int] | None:
-        """Slot token for one in-flight request (``None`` = no slot:
-        uncorrectably oversize snapshot or every slot busy — callers
-        fall back to the inline codec path)."""
-        slot = self._ensure(fp_hex, instance)
-        if slot is None:
-            return None
-        self._pins[slot] += 1
-        return slot, self._generations[slot], self.epoch
-
-    def unpin(self, token: tuple[int, int, int]) -> None:
-        slot, _generation, epoch = token
-        if epoch != self.epoch:
-            return  # pinned before a grow: that ring is gone
-        self._pins[slot] = max(0, self._pins[slot] - 1)
-
-    def hold(self, fp_hex: str, instance: Instance) -> None:
-        """A delta-base LRU entry now references ``fp_hex``."""
-        slot = self._ensure(fp_hex, instance)
-        if slot is not None:
-            self._holds[slot] += 1
-
-    def release_hold(self, fp_hex: str) -> None:
-        slot = self._slot_of.get(fp_hex)
-        if slot is not None:
-            self._holds[slot] = max(0, self._holds[slot] - 1)
+    def reset(self, names: list[str] | None) -> list[str]:
+        """Reset the named shards' engines and drop their resident
+        arrays (every shard when ``names`` is ``None``)."""
+        reset = []
+        for name in (list(self.shards) if names is None else names):
+            state = self.shards.get(name)
+            if state is None:
+                continue
+            if state.engine is not None:
+                state.engine.reset()
+            state.decisions = 0
+            self.residents.pop(name, None)
+            reset.append(name)
+        return reset
 
     def stats(self) -> dict[str, Any]:
-        return {
-            "slots": self.ring.slots,
-            "slot_bytes": self.ring.slot_bytes,
-            "epoch": self.epoch,
-            "assigned": len(self._slot_of),
-            "pinned": sum(1 for p in self._pins if p),
-            "held": sum(1 for h in self._holds if h),
-            "worker_retained": len(self._retained_slots()),
-        }
+        return {name: state.stats() for name, state in self.shards.items()}
 
-    def close(self) -> None:
-        """Unlink every segment this plane ever owned (server stop)."""
-        while self._retired:
-            self._retired.pop().close()
-        self.ring.close()
 
-    # -- solve-thread side ---------------------------------------------
-    def note_worker_retained(self, worker: int, mapping: dict[str, Any]) -> None:
-        """Replace ``worker``'s retained map (reported with each reply)."""
-        self._retained[worker] = {
-            str(shard): int(slot) for shard, slot in mapping.items()
-        }
+# ----------------------------------------------------------------------
+# The worker-pipe form of a solve lane (process executor)
+# ----------------------------------------------------------------------
+def _wire_solve(solve: UniqueSolve) -> dict[str, Any]:
+    """One solve as the worker pipe carries it: the flags, plus full
+    arrays for an install or an inline snapshot, or the O(churn)
+    frames (``idx`` and new values; the worker gathers old values)."""
+    entry: dict[str, Any] = {
+        "k": solve.k,
+        "fp": solve.fingerprint.hex(),
+        "install": solve.install,
+        "moves_only": solve.moves_only,
+        "apply_only": solve.apply_only,
+    }
+    if solve.instance is not None:
+        entry["instance"] = solve.instance.to_wire()
+    if solve.frames:
+        entry["frames"] = [
+            {
+                "idx": frame.idx, "sizes": frame.sizes,
+                "costs": frame.costs, "initial": frame.initial,
+            }
+            for frame in solve.frames
+        ]
+    return entry
+
+
+def _solve_from_wire(shard: str, entry: dict[str, Any]) -> UniqueSolve:
+    """Inverse of :func:`_wire_solve`.  The event loop validated every
+    array before admission, so the snapshot is rebuilt without the
+    O(n) validation pass."""
+    instance = None
+    wire = entry.get("instance")
+    if wire is not None:
+        instance = Instance.trusted(
+            wire["sizes"], wire["costs"],
+            int(wire["num_processors"]), wire["initial"],
+        )
+    return UniqueSolve(
+        shard=shard,
+        k=int(entry["k"]),
+        instance=instance,
+        fingerprint=bytes.fromhex(entry["fp"]),
+        install=bool(entry["install"]),
+        moves_only=bool(entry["moves_only"]),
+        frames=[
+            Frame(f["idx"], f["sizes"], f["costs"], f["initial"])
+            for f in entry.get("frames", ())
+        ],
+        apply_only=bool(entry["apply_only"]),
+    )
 
 
 # ----------------------------------------------------------------------
@@ -510,137 +446,33 @@ _WORKER: dict[str, Any] = {}
 
 
 def _process_worker_init(config: dict[str, Any]) -> None:
-    """Per-worker initializer: remember the engine config, start empty.
-
-    When the server created a snapshot ring, attach to it here so an
-    attach failure surfaces through the pool's ready handshake (the
-    server then fails start() instead of limping along half-attached).
-    """
-    _WORKER["config"] = config
-    _WORKER["shards"] = {}
-    _WORKER["rebuilds"] = 0
-    _WORKER["retained"] = {}
-    ring = None
-    if config.get("shm_name"):
-        ring = SnapshotRing.attach(
-            config["shm_name"], config["shm_slots"], config["shm_slot_bytes"]
-        )
-    _WORKER["ring"] = ring
-
-
-def _worker_solve_lane(
-    lane: dict[str, Any],
-    shards: dict[str, ShardState],
-    config: dict[str, Any],
-    ring: SnapshotRing | None,
-    retained: dict[str, int],
-) -> list[dict[str, Any]]:
-    name = str(lane["shard"])
-    responses = []
-    for solve in lane["solves"]:
-        k = int(solve["k"])
-        state, rebuilt = _get_shard_state(
-            shards, name, k,
-            config["use_engine"], config["engine_cache_size"],
-        )
-        if rebuilt:
-            _WORKER["rebuilds"] += 1
-            retained.pop(name, None)  # the old engine's borrow ended
-        fingerprint = bytes.fromhex(solve["fp"])
-        if state.engine is not None:
-            # Fingerprint-only fast path: a decision-cache hit needs no
-            # snapshot at all, so shm solves skip even the view rebuild.
-            result = state.engine.cached(fingerprint)
-            if result is not None:
-                state.decisions += 1
-                responses.append(_result_response(state, result))
-                continue
-        slot = solve.get("slot")
-        if slot is not None:
-            views = None
-            if ring is not None:
-                views = ring.read(
-                    int(slot), int(solve["gen"]), int(solve["n"])
-                )
-            if views is None:
-                # Generation mismatch (or no ring): tell the server to
-                # re-send this solve with inline arrays.
-                responses.append(error_response("stale segment", shard=name))
-                continue
-            sizes, costs, initial = views
-            instance = Instance(
-                sizes=sizes, costs=costs,
-                num_processors=int(solve["m"]), initial=initial,
-            )
-        else:
-            instance = Instance.from_dict(solve["instance"])
-        responses.append(_solve_one(state, instance, k, fingerprint))
-        if state.engine is not None and state.engine.retained_snapshot is instance:
-            # The engine's tables now reference this snapshot's arrays;
-            # report the slot so the server keeps it off the free list
-            # (inline solves clear the previous borrow instead).
-            if slot is not None:
-                retained[name] = int(slot)
-            else:
-                retained.pop(name, None)
-    return responses
+    """Per-worker initializer: an empty solve plane for the shards
+    pinned to this worker."""
+    _WORKER["plane"] = SolvePlane(
+        use_engine=config["use_engine"],
+        engine_cache_size=config["engine_cache_size"],
+    )
 
 
 def _process_worker_handle(payload: bytes) -> bytes:
-    """Worker request loop body: binary codec in, binary codec out.
-
-    Every reply carries the worker's current ``retained`` map
-    (shard -> ring slot its warm engine still references) so the
-    server's slot recycling always sees fresh borrows.
-    """
+    """Worker request loop body: binary codec in, binary codec out."""
     message = unpack_payload(payload)
     op = message.get("op")
-    config = _WORKER["config"]
-    shards: dict[str, ShardState] = _WORKER["shards"]
-    retained: dict[str, int] = _WORKER["retained"]
+    plane: SolvePlane = _WORKER["plane"]
     if op == "solve":
-        ring: SnapshotRing | None = _WORKER.get("ring")
-        lanes_out = [
-            _worker_solve_lane(lane, shards, config, ring, retained)
+        return pack_payload({"lanes": [
+            plane.solve_lane(
+                str(lane["shard"]),
+                [_solve_from_wire(str(lane["shard"]), s) for s in lane["solves"]],
+            )
             for lane in message["lanes"]
-        ]
-        return pack_payload({"lanes": lanes_out, "retained": dict(retained)})
+        ]})
     if op == "reset":
         names = message.get("shards")
-        names = list(shards) if names is None else [str(n) for n in names]
-        reset = []
-        for name in names:
-            state = shards.get(name)
-            if state is None:
-                continue
-            if state.engine is not None:
-                state.engine.reset()
-            state.decisions = 0
-            retained.pop(name, None)
-            reset.append(name)
-        return pack_payload({"reset": reset, "retained": dict(retained)})
+        names = None if names is None else [str(n) for n in names]
+        return pack_payload({"result": plane.reset(names)})
     if op == "stats":
-        return pack_payload({
-            "shards": {name: state.stats() for name, state in shards.items()},
-            "rebuilds": _WORKER["rebuilds"],
-            "retained": dict(retained),
-        })
-    if op == "attach":
-        # The server's snapshot ring grew: swap to the new segment.
-        # Engines may still hold views into the old one — its close()
-        # leaves the mapping in place while views are live — and the
-        # retained map is cleared because those borrows name slots the
-        # server no longer tracks.
-        old: SnapshotRing | None = _WORKER.get("ring")
-        if old is not None:
-            old.close()
-        _WORKER["ring"] = SnapshotRing.attach(
-            str(message["name"]),
-            int(message["slots"]),
-            int(message["slot_bytes"]),
-        )
-        retained.clear()
-        return pack_payload({"attached": str(message["name"]), "retained": {}})
+        return pack_payload({"result": plane.stats()})
     raise ValueError(f"unknown worker op {op!r}")
 
 
@@ -650,7 +482,6 @@ class RebalanceServer:
     def __init__(self, config: ServerConfig | None = None) -> None:
         self.config = config or ServerConfig()
         self.metrics = telemetry.Collector()
-        self.shards: dict[str, ShardState] = {}
         self.queue = AdmissionQueue(self.config.max_queue, self.metrics)
         self.batcher = MicroBatcher(
             self.queue,
@@ -661,6 +492,16 @@ class RebalanceServer:
             ),
             self.metrics,
         )
+        # The thread executor's solve plane (the process executor's
+        # planes live in its workers).  Touched on the solve thread only.
+        self.solve_plane: SolvePlane | None = None
+        if self.config.executor == "thread":
+            self.solve_plane = SolvePlane(
+                use_engine=self.config.use_engine,
+                engine_cache_size=self.config.engine_cache_size,
+                solve_delay_s=self.config.solve_delay_s,
+                metrics=self.metrics,
+            )
         # Delta bases: per shard, the last few snapshots by fingerprint
         # hex.  Lives in the serving process (deltas must materialize
         # before admission/batching), regardless of the executor.
@@ -671,30 +512,16 @@ class RebalanceServer:
         # fingerprint hash — the request decodes in O(changed sites).
         self._transitions: dict[str, OrderedDict[tuple[str, bytes], str]] = {}
         self._transitions_cap = max(64, 4 * self.config.base_cache_size)
-        # Server-side decision memo (process executor): (shard, k,
-        # fingerprint hex) -> the worker's ok response.  A hit answers
-        # without a worker-pipe round trip; identical fingerprints get
-        # identical decisions by the engine contract, so replaying the
-        # reply is byte-equivalent to re-asking the worker.
-        self._decisions: OrderedDict[tuple[str, int, str], dict[str, Any]] = (
-            OrderedDict()
-        )
-        # Resident shard plane (thread executor): per-shard writable
-        # arrays + rolling fingerprint on the event loop, their solve-
-        # thread mirrors, and an event-loop response memo keyed by
+        # Resident admission plane: per-shard writable arrays + rolling
+        # fingerprint on the event loop, and a response memo keyed by
         # ``(shard, k, fingerprint hex, moves_only)``.
         self._resident_enabled = (
-            self.config.resident
-            and self.config.use_engine
-            and self.config.executor == "thread"
-            and self.config.base_cache_size > 0
+            self.config.use_engine and self.config.base_cache_size > 0
         )
         self._residents: dict[str, ResidentShard] = {}
-        self._solve_residents: dict[str, SolveResident] = {}  # solve thread
         self._responses: OrderedDict[
             tuple[str, int, str, bool], dict[str, Any]
         ] = OrderedDict()
-        self._plane: _SnapshotPlane | None = None
         self._server: asyncio.AbstractServer | None = None
         self._batch_task: asyncio.Task | None = None
         self._executor: ThreadPoolExecutor | None = None
@@ -712,50 +539,29 @@ class RebalanceServer:
             raise RuntimeError("server is not listening")
         return self._server.sockets[0].getsockname()[1]
 
+    def _solve_executor(self) -> ThreadPoolExecutor:
+        if self._executor is None:
+            raise RuntimeError("server is not started")
+        return self._executor
+
     async def start(self) -> None:
         """Bind, start accepting connections, and start the batch loop."""
         if self._server is not None:
             raise RuntimeError("server already started")
         self._stop_event = asyncio.Event()
         if self.config.executor == "process":
-            ring = None
-            if self.config.shm:
-                try:
-                    ring = SnapshotRing.create(
-                        self.config.shm_slots, self.config.shm_slot_bytes
-                    )
-                except OSError:
-                    # No usable /dev/shm (or quota): serve via the
-                    # inline codec path exactly as PR 5 did.
-                    self.metrics.add("service.shm_unavailable")
             # Spawned workers import the package fresh; blocking here
             # until every ready handshake lands keeps `start` returning
-            # a genuinely warm server.  The pool owns the ring: its
-            # close() unlinks the segment after the workers exit, and a
-            # failed spawn/handshake cleans it up the same way.
-            try:
-                self._pool = PersistentWorkerPool(
-                    _process_worker_handle,
-                    self.config.process_workers,
-                    initializer=_process_worker_init,
-                    initargs=({
-                        "use_engine": self.config.use_engine,
-                        "engine_cache_size": self.config.engine_cache_size,
-                        "shm_name": ring.name if ring is not None else None,
-                        "shm_slots": self.config.shm_slots,
-                        "shm_slot_bytes": self.config.shm_slot_bytes,
-                    },),
-                    ring=ring,
-                )
-            except BaseException:
-                if ring is not None:
-                    ring.close()  # idempotent if the pool got that far
-                raise
-            if ring is not None:
-                self._plane = _SnapshotPlane(
-                    ring, self.metrics,
-                    max_slot_bytes=self.config.shm_max_slot_bytes,
-                )
+            # a genuinely warm server.
+            self._pool = PersistentWorkerPool(
+                _process_worker_handle,
+                self.config.process_workers,
+                initializer=_process_worker_init,
+                initargs=({
+                    "use_engine": self.config.use_engine,
+                    "engine_cache_size": self.config.engine_cache_size,
+                },),
+            )
         self._executor = ThreadPoolExecutor(
             max_workers=1, thread_name_prefix="repro-solve"
         )
@@ -774,7 +580,8 @@ class RebalanceServer:
         """Block until :meth:`request_stop`, then shut down cleanly."""
         if self._server is None:
             await self.start()
-        assert self._stop_event is not None
+        if self._stop_event is None:
+            raise RuntimeError("server is not started")
         try:
             await self._stop_event.wait()
         finally:
@@ -801,11 +608,8 @@ class RebalanceServer:
             self._executor.shutdown(wait=True)
             self._executor = None
         if self._pool is not None:
-            self._pool.close()  # also unlinks the original snapshot ring
+            self._pool.close()
             self._pool = None
-        if self._plane is not None:
-            self._plane.close()  # grown rings belong to the plane
-            self._plane = None
 
     # ------------------------------------------------------------------
     # Connection handling
@@ -869,17 +673,10 @@ class RebalanceServer:
         bases = self._bases.get(shard)
         if bases is None:
             bases = self._bases[shard] = OrderedDict()
-        if fp_hex not in bases and self._plane is not None:
-            # The LRU entry keeps the snapshot's ring slot held: the
-            # ring is keyed by the same fingerprints as the base cache,
-            # so eviction here is what frees slots for recycling.
-            self._plane.hold(fp_hex, instance)
         bases[fp_hex] = instance
         bases.move_to_end(fp_hex)
         while len(bases) > self.config.base_cache_size:
-            evicted, _ = bases.popitem(last=False)
-            if self._plane is not None:
-                self._plane.release_hold(evicted)
+            bases.popitem(last=False)
 
     def _base_for(self, shard: str, fp_hex: str) -> Instance | None:
         bases = self._bases.get(shard)
@@ -954,16 +751,19 @@ class RebalanceServer:
                     raise ValueError("deadline_ms must be finite")
             moves_only = bool(message.get("moves_only", False))
             delta = message.get("delta")
+            res = self._residents.get(shard)
             if delta is not None:
                 base_hex = str(delta.get("base", ""))
-                if self._resident_enabled:
-                    res = self._residents.get(shard)
-                    if res is not None and base_hex == res.fp_hex:
-                        # The O(churn) path: the delta lands on the
-                        # resident tip — no Instance is ever built.
-                        return await self._resident_delta(
-                            shard, k, deadline_ms, moves_only, res, delta
-                        )
+                if res is not None and base_hex == res.fp_hex:
+                    # The O(churn) path: the delta lands on the resident
+                    # tip — no Instance is ever built.
+                    frame, fp = res.preview(delta)
+                    # Counted like a materialized delta: a wire delta
+                    # was decoded into the shard's next state.
+                    self.metrics.add("service.delta_applied")
+                    return await self._resident_delta(
+                        shard, k, deadline_ms, moves_only, res, frame, fp
+                    )
                 base = self._base_for(shard, base_hex)
                 if base is None:
                     # Not an error in the protocol sense: the client
@@ -974,6 +774,18 @@ class RebalanceServer:
                 instance, fingerprint = self._materialize_delta(
                     shard, base_hex, base, delta
                 )
+                rebased = None if res is None else res.delta_to(instance)
+                if rebased is not None:
+                    # A client whose base lags the tip (requests in
+                    # flight together) is rebased: the target leaves a
+                    # frame against the tip instead of reseeding the
+                    # solve plane with O(n) arrays.
+                    frame, fp = res.preview(rebased)
+                    self._remember_base(shard, fingerprint.hex(), instance)
+                    self.metrics.add("service.delta_rebases")
+                    return await self._resident_delta(
+                        shard, k, deadline_ms, moves_only, res, frame, fp
+                    )
             else:
                 instance = Instance.from_dict(message["instance"])
                 fingerprint = snapshot_fingerprint(instance)
@@ -988,60 +800,24 @@ class RebalanceServer:
         fp_hex = fingerprint.hex()
         self._remember_base(shard, fp_hex, instance)
         now = loop.time()
-        # Event-loop fast path: a decision-memo hit needs no admission,
-        # no batch, and no solve-thread hop — the decision is a pure
-        # function of (fingerprint, k), so in-flight solves cannot
-        # change the answer.  Plain ``get`` only: the solve thread owns
-        # the memo's LRU reordering and eviction.
-        if self._pool is not None and self.config.decision_cache_size:
-            cached = self._decisions.get((shard, k, fp_hex))
-            if cached is not None:
-                self.metrics.add("service.decision_hits")
-                self.metrics.add("service.ok")
-                self.metrics.observe(
-                    "service.latency_ms", 1e3 * (loop.time() - now)
-                )
-                response = dict(cached)
-                response["fingerprint"] = fp_hex
-                return response
-        # Pin the snapshot's ring slot for the request's whole lifetime
-        # so it is never rewritten under an in-flight solve.
-        token = (
-            self._plane.pin(fp_hex, instance)
-            if self._plane is not None else None
+        request = PendingRequest(
+            shard=shard,
+            k=k,
+            instance=instance,
+            fingerprint=fingerprint,
+            enqueued_at=now,
+            deadline=None if deadline_ms is None else now + deadline_ms / 1e3,
+            future=loop.create_future(),
+            moves_only=moves_only,
         )
-        try:
-            request = PendingRequest(
-                shard=shard,
-                k=k,
-                instance=instance,
-                fingerprint=fingerprint,
-                enqueued_at=now,
-                deadline=None if deadline_ms is None else now + deadline_ms / 1e3,
-                future=loop.create_future(),
-                shm=token,
+        if not self.queue.try_submit(request):
+            return error_response(
+                "overloaded", retry_after_ms=self.queue.retry_after_ms()
             )
-            if not self.queue.try_submit(request):
-                return error_response(
-                    "overloaded", retry_after_ms=self.queue.retry_after_ms()
-                )
-            response = await request.future
-        finally:
-            if token is not None and self._plane is not None:
-                self._plane.unpin(token)
-        latency_ms = 1e3 * (loop.time() - request.enqueued_at)
-        self.metrics.observe("service.latency_ms", latency_ms)
-        if response.get("ok"):
-            self.metrics.add("service.ok")
-            # The fingerprint names this snapshot as a future delta
-            # base.  Copy before annotating: deduped requests share one
-            # response object.
-            response = dict(response)
-            response["fingerprint"] = fp_hex
-        return response
+        return await self._await_response(request, fp_hex)
 
     # ------------------------------------------------------------------
-    # Resident request paths (thread executor)
+    # Resident request paths
     # ------------------------------------------------------------------
     def _memo_hit(
         self,
@@ -1063,7 +839,7 @@ class RebalanceServer:
         response["fingerprint"] = key[2]
         return response
 
-    async def _await_resident(
+    async def _await_response(
         self, request: PendingRequest, fp_hex: str
     ) -> dict[str, Any]:
         loop = asyncio.get_running_loop()
@@ -1073,6 +849,9 @@ class RebalanceServer:
         )
         if response.get("ok"):
             self.metrics.add("service.ok")
+            # The fingerprint names this snapshot as a future delta
+            # base.  Copy before annotating: deduped requests share one
+            # response object.
             response = dict(response)
             response["fingerprint"] = fp_hex
         return response
@@ -1084,29 +863,21 @@ class RebalanceServer:
         deadline_ms: float | None,
         moves_only: bool,
         res: ResidentShard,
-        delta: dict[str, Any],
+        frame: Frame,
+        fp: RollingFingerprint,
     ) -> dict[str, Any]:
-        """Apply a wire delta straight onto the shard's resident arrays.
+        """Advance the shard's resident arrays by one previewed frame.
 
-        O(changed sites) on the event loop: gather the old values,
-        roll the fingerprint, and ship the frame — never an Instance —
-        to the solve plane.  The commit happens only after admission
-        (or a memo hit), so a rejected request leaves the tip unchanged
-        and the client's retry of the same delta still resolves.
+        O(changed sites) on the event loop: the frame — never an
+        Instance — travels on to the solve plane.  The commit happens
+        only after admission (or a memo hit), so a rejected request
+        leaves the tip unchanged and the client's retry of the same
+        delta still resolves.
         """
         loop = asyncio.get_running_loop()
         now = loop.time()
-        try:
-            frame, fp = res.preview(delta)
-        except (KeyError, TypeError, ValueError) as exc:
-            self.metrics.add("service.bad_requests")
-            return error_response("bad request", message=str(exc))
         fingerprint = fp.digest()
         fp_hex = fingerprint.hex()
-        # ``service.delta_applied`` keeps its pre-resident meaning — a
-        # wire delta frame was decoded into the shard's next state — so
-        # dashboards and tests watching it see both decode paths.
-        self.metrics.add("service.delta_applied")
         self.metrics.add("service.resident_deltas")
         hit = self._memo_hit((shard, k, fp_hex, moves_only), now, loop)
         if hit is not None:
@@ -1142,7 +913,7 @@ class RebalanceServer:
             self.metrics.add("service.resident_installs")
         else:
             request.frames = res.claim_frames(frame)
-        return await self._await_resident(request, fp_hex)
+        return await self._await_response(request, fp_hex)
 
     async def _resident_full(
         self,
@@ -1177,15 +948,15 @@ class RebalanceServer:
         request = PendingRequest(
             shard=shard,
             k=k,
-            instance=instance,
+            # A duplicate of an in-sync tip decides on the solve plane's
+            # resident arrays (the engine will almost surely answer from
+            # its decision cache); anything else reseeds the plane.
+            instance=None if in_sync else instance,
             fingerprint=fingerprint,
             enqueued_at=now,
             deadline=None if deadline_ms is None else now + deadline_ms / 1e3,
             future=loop.create_future(),
             moves_only=moves_only,
-            # A duplicate of an in-sync tip solves without reinstalling
-            # (the engine will almost surely answer from its decision
-            # cache); anything else reseeds the solve plane.
             install=not in_sync,
         )
         if not self.queue.try_submit(request):
@@ -1196,7 +967,7 @@ class RebalanceServer:
             res.pending.clear()
             res.needs_install = False
             self.metrics.add("service.resident_installs")
-        return await self._await_resident(request, fp_hex)
+        return await self._await_response(request, fp_hex)
 
     def _op_health(self) -> dict[str, Any]:
         """Liveness probe for the cluster router's health loop.
@@ -1285,7 +1056,7 @@ class RebalanceServer:
         falls back to its own copy of the snapshot.
         """
         shard = str(message.get("shard", "default"))
-        res = self._residents.get(shard) if self._resident_enabled else None
+        res = self._residents.get(shard)
         if res is not None:
             # The resident tip is by construction the newest state —
             # the delta-base LRU only sees full-snapshot requests.
@@ -1312,19 +1083,9 @@ class RebalanceServer:
         )
 
     async def _op_status(self) -> dict[str, Any]:
-        loop = asyncio.get_running_loop()
-        assert self._executor is not None
-        if self._pool is not None:
-            # Worker pipes are only ever driven from the solve thread;
-            # hop there so stats never race an in-flight batch.
-            shards = await loop.run_in_executor(self._executor, self._pool_stats)
-        else:
-            # Thread-mode shard states are created by the solve thread
-            # mid-batch; snapshot them on that same thread so status
-            # never iterates the dict during an insert.
-            shards = await loop.run_in_executor(
-                self._executor, self._thread_shard_stats
-            )
+        shards: dict[str, Any] = {}
+        for plane_shards in await self._on_planes("stats"):
+            shards.update(plane_shards)
         residents = None
         if self._resident_enabled:
             residents = {
@@ -1342,87 +1103,53 @@ class RebalanceServer:
             queue=self.queue.stats(),
             shards=shards,
             residents=residents,
-            shm=self._plane.stats() if self._plane is not None else None,
             metrics=self.metrics.as_dict(),
         )
-
-    def _thread_shard_stats(self) -> dict[str, Any]:
-        return {name: state.stats() for name, state in self.shards.items()}
-
-    def _pool_stats(self) -> dict[str, Any]:
-        assert self._pool is not None
-        shards: dict[str, Any] = {}
-        for worker, reply in self._pool.broadcast(
-            pack_payload({"op": "stats"})
-        ).items():
-            stats = unpack_payload(reply)
-            self._note_retained(worker, stats)
-            shards.update(stats["shards"])
-        return shards
-
-    def _note_retained(self, worker: int, message: dict[str, Any]) -> None:
-        """Fold a worker reply's retained map into the snapshot plane."""
-        if self._plane is not None and "retained" in message:
-            self._plane.note_worker_retained(worker, message["retained"])
 
     async def _op_reset(self, message: dict[str, Any]) -> dict[str, Any]:
         shard = message.get("shard")
         names = [str(shard)] if shard is not None else None
-        for name in (names if names is not None else list(self._bases)):
-            bases = self._bases.pop(name, None)
-            if bases and self._plane is not None:
-                for fp_hex in bases:
-                    self._plane.release_hold(fp_hex)
-        for name in (names if names is not None else list(self._transitions)):
-            self._transitions.pop(name, None)
         if names is None:
-            self._decisions.clear()
+            self._bases.clear()
+            self._transitions.clear()
             self._responses.clear()
             self._residents.clear()
         else:
-            for key in [k for k in self._decisions if k[0] in names]:
-                del self._decisions[key]
+            for name in names:
+                self._bases.pop(name, None)
+                self._transitions.pop(name, None)
+                self._residents.pop(name, None)
             for key in [k for k in self._responses if k[0] in names]:
                 del self._responses[key]
-            for name in names:
-                self._residents.pop(name, None)
-        loop = asyncio.get_running_loop()
-        assert self._executor is not None
-        if self._pool is not None:
-            reset = await loop.run_in_executor(
-                self._executor, self._pool_reset, names
-            )
-        else:
-            # Engines and solve-side residents belong to the solve
-            # thread; resetting them there serializes with any batch.
-            reset = await loop.run_in_executor(
-                self._executor, self._thread_reset, names
-            )
+        reset: list[str] = []
+        for plane_reset in await self._on_planes("reset", names):
+            reset.extend(plane_reset)
         self.metrics.add("service.resets")
         return ok_response(reset=sorted(set(reset)))
 
-    def _thread_reset(self, names: list[str] | None) -> list[str]:
-        reset = []
-        for name in (names if names is not None else list(self.shards)):
-            state = self.shards.get(name)
-            if state is None:
-                continue
-            if state.engine is not None:
-                state.engine.reset()
-            state.decisions = 0
-            self._solve_residents.pop(name, None)
-            reset.append(name)
-        return reset
+    async def _on_planes(self, op: str, names: list[str] | None = None) -> list[Any]:
+        """Run ``stats`` or ``reset`` on every solve plane.
 
-    def _pool_reset(self, names: list[str] | None) -> list[str]:
-        assert self._pool is not None
-        payload = pack_payload({"op": "reset", "shards": names})
-        reset: list[str] = []
-        for worker, reply in self._pool.broadcast(payload).items():
-            message = unpack_payload(reply)
-            self._note_retained(worker, message)
-            reset.extend(message["reset"])
-        return reset
+        Always from the solve thread: that serializes the op with any
+        in-flight batch (the thread plane inserts shards mid-batch, and
+        the worker pipes are only ever driven from that thread).
+        """
+        loop = asyncio.get_running_loop()
+        return await loop.run_in_executor(
+            self._solve_executor(), self._planes_sync, op, names
+        )
+
+    def _planes_sync(self, op: str, names: list[str] | None) -> list[Any]:
+        if self._pool is None:
+            plane = self.solve_plane
+            if plane is None:
+                raise RuntimeError("no solve plane")
+            return [plane.stats() if op == "stats" else plane.reset(names)]
+        payload = pack_payload({"op": op, "shards": names})
+        return [
+            unpack_payload(reply)["result"]
+            for reply in self._pool.broadcast(payload).values()
+        ]
 
     # ------------------------------------------------------------------
     # Batch loop and solving
@@ -1444,6 +1171,11 @@ class RebalanceServer:
                 for request in batch:
                     if not request.future.done():
                         request.future.set_result(failure)
+                    # The batch's frames or installs may never have
+                    # reached the solve plane: resync its shards.
+                    res = self._residents.get(request.shard)
+                    if res is not None:
+                        res.collapse()
 
     async def _serve_batch(
         self, batch: list[PendingRequest], loop: asyncio.AbstractEventLoop
@@ -1453,9 +1185,8 @@ class RebalanceServer:
             return
         lanes = self.batcher.plan(batch)
         start = loop.time()
-        assert self._executor is not None
         outcomes = await loop.run_in_executor(
-            self._executor, self._solve_lanes, lanes
+            self._solve_executor(), self._solve_lanes, lanes
         )
         elapsed = loop.time() - start
         self.metrics.record_span("service.solve", elapsed)
@@ -1479,8 +1210,7 @@ class RebalanceServer:
                         # Memo before the batch annotation: a replayed
                         # response describes no batch it was part of.
                         key = (
-                            lane.shard, solve.k,
-                            solve.requests[0].fingerprint.hex(),
+                            lane.shard, solve.k, solve.fingerprint.hex(),
                             solve.moves_only,
                         )
                         self._responses[key] = dict(outcome)
@@ -1493,16 +1223,20 @@ class RebalanceServer:
                     if not request.future.done():
                         request.future.set_result(outcome)
 
-    def _solve_lanes(self, lanes: list[ShardLane]) -> list[list[dict[str, Any]]]:
-        """Executor-side: fan independent shard lanes out.
+    def _solve_lanes(
+        self, lanes: list[ShardLane]
+    ) -> list[list[dict[str, Any] | None]]:
+        """Executor-side: solve every lane on its solve plane.
 
-        Returns, per lane, one response dict per unique solve (in lane
-        order).  Runs on the dedicated solve thread; shard states are
-        only ever touched from here (one batch at a time), so engines
-        need no locking in either executor mode.
+        Returns, per lane, one response per unique solve (in lane
+        order).  Runs on the dedicated solve thread, one batch at a
+        time, so no plane needs locking.
         """
         if self._pool is not None:
             return self._solve_lanes_process(lanes)
+        plane = self.solve_plane
+        if plane is None:
+            raise RuntimeError("no solve plane")
         workers = min(self.config.solver_workers, max(1, len(lanes)))
         if not self.config.solve_delay_s:
             # Real CPU-bound solves past the core count add no
@@ -1513,164 +1247,27 @@ class RebalanceServer:
             # the configured fan-out.
             workers = min(workers, max(1, os.cpu_count() or 1))
         return run_sweep(
-            self._solve_lane,
+            lambda lane: plane.solve_lane(lane.shard, lane.solves),
             lanes,
             workers=workers,
             executor="thread",
         )
-
-    def _solve_lane(self, lane: ShardLane) -> list[dict[str, Any] | None]:
-        responses: list[dict[str, Any] | None] = []
-        for solve in lane.solves:
-            state, rebuilt = _get_shard_state(
-                self.shards, lane.shard, solve.k,
-                self.config.use_engine, self.config.engine_cache_size,
-            )
-            if rebuilt:
-                self.metrics.add("service.shard_rebuilds")
-            if self._resident_enabled and (
-                solve.install or solve.frames or solve.instance is None
-            ):
-                responses.append(self._solve_resident(state, lane.shard, solve))
-            else:
-                responses.append(_solve_one(
-                    state, solve.instance, solve.k,
-                    solve.requests[0].fingerprint,
-                ))
-            if self.config.solve_delay_s:
-                time.sleep(self.config.solve_delay_s)
-        return responses
-
-    def _solve_resident(
-        self, state: ShardState, shard: str, solve: UniqueSolve
-    ) -> dict[str, Any] | None:
-        """One solve on the resident solve plane (solve thread only).
-
-        Applies the solve's frames — or reinstalls from a shipped
-        snapshot — onto the shard's solve-side arrays, then decides
-        with the accumulated churn hint.  Never raises; ``None`` for an
-        apply-only solve (every requester already expired).
-        """
-        engine = state.engine
-        try:
-            sres = self._solve_residents.get(shard)
-            if solve.install:
-                sres = SolveResident(solve.instance)
-                self._solve_residents[shard] = sres
-                hint = None
-                if engine is not None and (
-                    solve.apply_only or engine.has_pending_churn
-                ):
-                    # An arbitrary replacement snapshot invalidates the
-                    # warm tables: pending churn only describes the
-                    # sites it names, and an apply-only install leaves
-                    # no decide to re-anchor them.  Start cold.
-                    engine.reset()
-            else:
-                if sres is None:
-                    return error_response(
-                        "solve failed", shard=shard,
-                        message="resident solve without installed state",
-                    )
-                hint = sres.apply(solve.frames)
-            if solve.apply_only:
-                if hint is not None and engine is not None:
-                    engine.note_churn(*hint)
-                return None
-            instance = sres.view()
-            result = engine.rebalance(
-                instance,
-                fingerprint=solve.requests[0].fingerprint,
-                changed=hint,
-            )
-            state.decisions += 1
-            if solve.moves_only:
-                return _moves_response(state, result, instance)
-            return _result_response(state, result)
-        except Exception as exc:
-            # The engine may be mid-patch: drop its state so the next
-            # decide rebuilds from the resident arrays.
-            if engine is not None:
-                engine.reset()
-            return error_response(
-                "solve failed", message=f"{type(exc).__name__}: {exc}"
-            )
 
     def _worker_for(self, shard: str) -> int:
         """Stable shard → worker affinity (``hash()`` is per-process
         seeded, so crc32 it is)."""
         return crc32(shard.encode("utf-8")) % self.config.process_workers
 
-    def _wire_solve(self, solve: UniqueSolve, *, inline: bool) -> dict[str, Any]:
-        """One solve's wire form: an O(1) shm slot reference when the
-        snapshot plane holds the snapshot, inline arrays otherwise."""
-        entry: dict[str, Any] = {
-            "k": solve.k,
-            "fp": solve.requests[0].fingerprint.hex(),
-        }
-        # A token pinned before a ring grow references a retired
-        # segment; its (slot, generation) could collide with fresh
-        # writes in the new ring, so stale-epoch tokens go inline.
-        if (
-            not inline
-            and solve.shm is not None
-            and self._plane is not None
-            and solve.shm[2] == self._plane.epoch
-        ):
-            slot, generation, _epoch = solve.shm
-            entry["slot"] = slot
-            entry["gen"] = generation
-            entry["n"] = solve.instance.num_jobs
-            entry["m"] = solve.instance.num_processors
-        else:
-            entry["instance"] = solve.instance.to_wire()
-        return entry
-
     def _solve_lanes_process(
         self, lanes: list[ShardLane]
-    ) -> list[list[dict[str, Any]]]:
-        """Route lanes to their affine workers over the binary codec.
-
-        Solves whose ``(shard, k, fingerprint)`` is in the server-side
-        decision memo are answered here; only the misses cross the
-        worker pipe.  Replies scatter back into the original solve
-        positions, so downstream bookkeeping never sees the split.
-        """
-        plane = self._plane
-        if plane is not None and plane.pending_attach:
-            # The ring grew since the last batch: point every worker at
-            # the new segment before wiring any slot references to it.
-            epoch = plane.epoch
-            ring = plane.ring
-            assert self._pool is not None
-            for worker, reply in self._pool.broadcast(pack_payload({
-                "op": "attach",
-                "name": ring.name,
-                "slots": ring.slots,
-                "slot_bytes": ring.slot_bytes,
-            })).items():
-                self._note_retained(worker, unpack_payload(reply))
-            plane.note_attached(epoch)
-        memo = self.config.decision_cache_size
-        results: list[list[dict[str, Any]]] = [
-            [None] * len(lane.solves) for lane in lanes  # type: ignore[list-item]
-        ]
-        pending: dict[int, list[int]] = {}
-        for i, lane in enumerate(lanes):
-            for j, solve in enumerate(lane.solves):
-                key = (lane.shard, solve.k, solve.requests[0].fingerprint.hex())
-                cached = self._decisions.get(key) if memo else None
-                if cached is not None:
-                    self._decisions.move_to_end(key)
-                    self.metrics.add("service.decision_hits")
-                    results[i][j] = dict(cached)
-                else:
-                    pending.setdefault(i, []).append(j)
-        if not pending:
-            return results
+    ) -> list[list[dict[str, Any] | None]]:
+        """Route lanes to their affine workers over the binary codec."""
+        pool = self._pool
+        if pool is None:
+            raise RuntimeError("server is not started")
         groups: dict[int, list[int]] = {}
-        for i in pending:
-            groups.setdefault(self._worker_for(lanes[i].shard), []).append(i)
+        for i, lane in enumerate(lanes):
+            groups.setdefault(self._worker_for(lane.shard), []).append(i)
         assignments: dict[int, bytes] = {}
         for worker, lane_indices in groups.items():
             payload = pack_payload({
@@ -1678,88 +1275,21 @@ class RebalanceServer:
                 "lanes": [
                     {
                         "shard": lanes[i].shard,
-                        "solves": [
-                            self._wire_solve(lanes[i].solves[j], inline=False)
-                            for j in pending[i]
-                        ],
+                        "solves": [_wire_solve(s) for s in lanes[i].solves],
                     }
                     for i in lane_indices
                 ],
             })
             self.metrics.add("service.ipc_bytes_out", len(payload))
             assignments[worker] = payload
-        assert self._pool is not None
-        replies = self._pool.request(assignments)
-        stale: dict[int, list[tuple[int, int]]] = {}
+        replies = pool.request(assignments)
+        results: list[list[dict[str, Any] | None]] = [[] for _ in lanes]
         for worker, lane_indices in groups.items():
             reply = replies[worker]
             self.metrics.add("service.ipc_bytes_in", len(reply))
-            message = unpack_payload(reply)
-            self._note_retained(worker, message)
-            for i, lane_out in zip(lane_indices, message["lanes"]):
-                for j, outcome in zip(pending[i], lane_out):
-                    results[i][j] = outcome
-                    if (
-                        isinstance(outcome, dict)
-                        and outcome.get("error") == "stale segment"
-                    ):
-                        stale.setdefault(worker, []).append((i, j))
-        if stale:
-            self._retry_stale(lanes, results, stale)
-        if memo:
-            for i, where in pending.items():
-                for j in where:
-                    outcome = results[i][j]
-                    if isinstance(outcome, dict) and outcome.get("ok"):
-                        solve = lanes[i].solves[j]
-                        key = (
-                            lanes[i].shard, solve.k,
-                            solve.requests[0].fingerprint.hex(),
-                        )
-                        self._decisions[key] = dict(outcome)
-            while len(self._decisions) > memo:
-                self._decisions.popitem(last=False)
+            for i, lane_out in zip(lane_indices, unpack_payload(reply)["lanes"]):
+                results[i] = lane_out
         return results
-
-    def _retry_stale(
-        self,
-        lanes: list[ShardLane],
-        results: list[list[dict[str, Any]]],
-        stale: dict[int, list[tuple[int, int]]],
-    ) -> None:
-        """Re-send stale-segment solves with inline arrays.
-
-        Request pins make slot recycling under an in-flight solve
-        unreachable, so this path guards the exceptional cases — a
-        worker without a ring attachment or a ring restart — with the
-        PR 5 codec behavior instead of a failed request.
-        """
-        assignments: dict[int, bytes] = {}
-        for worker, where in stale.items():
-            payload = pack_payload({
-                "op": "solve",
-                "lanes": [
-                    {
-                        "shard": lanes[i].shard,
-                        "solves": [
-                            self._wire_solve(lanes[i].solves[j], inline=True)
-                        ],
-                    }
-                    for i, j in where
-                ],
-            })
-            self.metrics.add("service.shm_stale", len(where))
-            self.metrics.add("service.ipc_bytes_out", len(payload))
-            assignments[worker] = payload
-        assert self._pool is not None
-        replies = self._pool.request(assignments)
-        for worker, where in stale.items():
-            reply = replies[worker]
-            self.metrics.add("service.ipc_bytes_in", len(reply))
-            message = unpack_payload(reply)
-            self._note_retained(worker, message)
-            for (i, j), lane_out in zip(where, message["lanes"]):
-                results[i][j] = lane_out[0]
 
 
 # ----------------------------------------------------------------------

@@ -242,6 +242,31 @@ class TestMicroBatcher:
 
         run(go)
 
+    def test_plan_never_folds_a_state_change_into_an_earlier_solve(self):
+        """A stream can revisit a fingerprint (A -> B -> A): the request
+        whose frames lead back to A must keep its own solve, or the
+        solve plane would never replay its transition.  A request that
+        changes no state still folds into the earlier solve."""
+        async def go():
+            loop = asyncio.get_running_loop()
+            batcher, _ = self._batcher()
+            shared = _instance(seed=1)
+            first = _request(loop, instance=shared)
+            moving = _request(loop, instance=shared)
+            moving.frames = ["a frame"]
+            reinstall = _request(loop, instance=shared)
+            reinstall.install = True
+            repeat = _request(loop, instance=shared)
+            lanes = batcher.plan([first, moving, reinstall, repeat])
+            solves = lanes[0].solves
+            assert [s.requests for s in solves] == [
+                [first], [moving], [reinstall, repeat],
+            ]
+            assert solves[1].frames == ["a frame"]
+            assert all(s.fingerprint == first.fingerprint for s in solves)
+
+        run(go)
+
     def test_plan_splits_lanes_by_shard_preserving_order(self):
         async def go():
             loop = asyncio.get_running_loop()

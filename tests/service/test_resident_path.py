@@ -1,5 +1,5 @@
 """The O(churn) request path: resident deltas, moves-only responses,
-shm ring growth, and the churn-stream load generator.
+and the churn-stream load generator, on both shard executors.
 
 Every differential test holds the same invariant the rest of the suite
 does: no fast path may ever change a decision.  A delta stream applied
@@ -25,9 +25,11 @@ from repro.service import (
 from repro.service.resident import ResidentShard
 
 
-@pytest.fixture()
-def server():
-    with start_background(ServerConfig()) as handle:
+@pytest.fixture(params=["thread", "process"])
+def server(request):
+    """A server per executor: both run the same solve plane, the
+    process one behind the worker pipe."""
+    with start_background(ServerConfig(executor=request.param)) as handle:
         yield handle
 
 
@@ -188,66 +190,56 @@ class TestResidentDifferential:
             assert response["fingerprint"] == res.fp_hex
 
 
-class TestShmRingGrowth:
-    def test_oversize_snapshot_grows_ring_not_inline(self):
-        """A snapshot too big for the configured slot grows the ring
-        (slot size doubles, workers re-attach) instead of silently
-        demoting the shard to the inline codec; decisions stay exact
-        before and after the growth."""
-        config = ServerConfig(
-            executor="process", process_workers=2,
-            shm_slots=8, shm_slot_bytes=512,
-        )
-        n, m, k = 200, 6, 3  # needs ~4.8KiB per slot, 512B configured
-        rng = np.random.default_rng(7)
-        with start_background(config) as handle:
-            with ServiceClient(
-                handle.host, handle.port, protocol="binary"
-            ) as client:
-                for seed in range(3):
-                    inst = make_instance(
-                        sizes=rng.uniform(1.0, 9.0, n),
-                        initial=rng.integers(0, m, n),
-                        num_processors=m,
-                    )
-                    want = m_partition_rebalance(inst, k)
-                    got = client.rebalance(inst, k, shard=f"g{seed}")
-                    np.testing.assert_array_equal(
-                        got.assignment.mapping, want.assignment.mapping
-                    )
-                status = client.status()
-        counters = status["metrics"]["counters"]
-        assert counters.get("service.shm_grows", 0) >= 1
-        assert counters.get("service.shm_writes", 0) >= 1
-        assert status["shm"]["epoch"] >= 1
-        assert status["shm"]["slot_bytes"] > 512
-
-    def test_beyond_cap_falls_back_inline(self):
-        """Past ``shm_max_slot_bytes`` the ring cannot grow; the
-        snapshot falls back to the inline codec path and still decides
-        exactly."""
-        config = ServerConfig(
-            executor="process", process_workers=1,
-            shm_slots=4, shm_slot_bytes=512, shm_max_slot_bytes=1024,
-        )
-        n, m, k = 200, 6, 3
-        rng = np.random.default_rng(9)
+    def test_off_tip_delta_rebases_onto_tip(self, server):
+        """A delta whose base lags the resident tip (another request of
+        the shard landed first) is materialized from the base LRU and
+        forwarded as a frame against the tip: same decision as a
+        from-scratch solve, no reinstall of the solve plane, and the
+        stream continues on the tip."""
+        k = 2
+        n, m = 64, 4
+        rng = np.random.default_rng(41)
         inst = make_instance(
             sizes=rng.uniform(1.0, 9.0, n),
             initial=rng.integers(0, m, n),
             num_processors=m,
         )
-        with start_background(config) as handle:
-            with ServiceClient(handle.host, handle.port) as client:
-                want = m_partition_rebalance(inst, k)
-                got = client.rebalance(inst, k)
+        res = ResidentShard(inst)
+        lagging = ResidentShard(inst)
+        empty = np.empty(0, dtype=np.int64)
+        with ServiceClient(
+            server.host, server.port, protocol="binary"
+        ) as client:
+            assert _send_full(client, res, "lag", k, True)["ok"]
+            before = client.status()["metrics"]["counters"]
+            # One client advances the tip; another still holds the
+            # seed snapshot as its base.
+            ahead = _step_delta(res, rng, 4, empty, empty)
+            assert client.call({
+                "op": "rebalance", "shard": "lag", "k": k,
+                "moves_only": True, "delta": ahead,
+            })["ok"]
+            behind = _step_delta(lagging, rng, 4, empty, empty)
+            for tip, delta in ((lagging, behind), (lagging, None)):
+                if delta is None:
+                    # Back on the tip: an ordinary O(churn) delta.
+                    delta = _step_delta(tip, rng, 4, empty, empty)
+                response = client.call({
+                    "op": "rebalance", "shard": "lag", "k": k,
+                    "moves_only": True, "delta": delta,
+                })
+                assert response["ok"]
+                assert response["fingerprint"] == tip.fp_hex
+                mapping = _mapping_from(response, tip.initial)
+                want = m_partition_rebalance(tip.export_instance(), k)
                 np.testing.assert_array_equal(
-                    got.assignment.mapping, want.assignment.mapping
+                    mapping, want.assignment.mapping
                 )
-                status = client.status()
-        counters = status["metrics"]["counters"]
-        assert counters.get("service.shm_grow_failed", 0) >= 1
-        assert counters.get("service.shm_oversize", 0) >= 1
+            after = client.status()["metrics"]["counters"]
+        assert after["service.delta_rebases"] == 1
+        assert after["service.resident_installs"] == before[
+            "service.resident_installs"
+        ]
 
 
 class TestChurnStreamLoadgen:

@@ -270,7 +270,8 @@ class TestControlOps:
                 seen.append(threading.current_thread().name)
                 return super().items()
 
-        server.server.shards = Recording(server.server.shards)
+        plane = server.server.solve_plane
+        plane.shards = Recording(plane.shards)
         with ServiceClient(server.host, server.port) as client:
             client.rebalance(_instance(), 2)
             client.status()
@@ -374,7 +375,7 @@ class TestProcessExecutor:
         self, process_server
     ):
         """A repeated (shard, k, fingerprint) answers from the server's
-        decision memo without another worker round trip — and with the
+        response memo without another worker round trip — and with the
         same decision the worker gave the first time."""
         inst = _instance(seed=29)
         with ServiceClient(process_server.host, process_server.port) as client:
@@ -391,6 +392,30 @@ class TestProcessExecutor:
         )
         # The memo hit must not have crossed the worker pipe.
         assert after["service.ipc_bytes_out"] == before["service.ipc_bytes_out"]
+
+    def test_moves_only_answers_with_moves(self, process_server):
+        """``moves_only`` reaches the worker: the answer lists the moved
+        sites instead of the mapping, and they are the from-scratch
+        solver's moves."""
+        inst = _instance(seed=31, n=60)
+        with ServiceClient(
+            process_server.host, process_server.port, protocol="binary"
+        ) as client:
+            response = client.call({
+                "op": "rebalance", "shard": "moves", "k": 3,
+                "moves_only": True, "instance": inst.to_wire(),
+            })
+        assert response["ok"]
+        assert "mapping" not in response
+        assert response["num_jobs"] == inst.num_jobs
+        want = m_partition_rebalance(inst, 3)
+        moved = np.flatnonzero(want.assignment.mapping != inst.initial)
+        np.testing.assert_array_equal(response["moves_idx"], moved)
+        np.testing.assert_array_equal(
+            response["moves_to"], want.assignment.mapping[moved]
+        )
+        assert response["guessed_opt"] == want.guessed_opt
+        assert response["planned_moves"] == want.planned_moves
 
     def test_status_merges_worker_stats(self, process_server):
         with ServiceClient(process_server.host, process_server.port) as client:

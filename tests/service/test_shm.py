@@ -1,10 +1,11 @@
-"""Shared-memory snapshot plane: server-level behavior.
+"""The process executor's solve plane: server-level behavior.
 
-The plane is a pure transport optimization — every test here pins the
-decision stream against the from-scratch solver while checking the
-plane's observable mechanics: write-once publication, O(1) solve
-requests, and the three fallbacks (disabled, oversize, stale) that
-degrade to the inline codec path instead of failing requests.
+Process workers own each shard's resident arrays and warm engine, so a
+full snapshot crosses the worker pipe once per install and every later
+delta crosses as O(churn) frames.  Every test pins the decision stream
+against the from-scratch solver while checking those mechanics: one
+install per distinct tip, delta solves whose pipe bytes do not scale
+with the snapshot, and the inline path of an engine-less server.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ import pytest
 
 from repro.core import m_partition_rebalance, make_instance
 from repro.service import ServerConfig, ServiceClient, start_background
+from repro.service.resident import ResidentShard
 
 
 def _instance(seed: int = 0, n: int = 30, m: int = 4):
@@ -33,71 +35,116 @@ def _same_decision(result, scratch):
     assert result.planned_moves == scratch.planned_moves
 
 
+def _ipc_bytes(counters) -> int:
+    return counters.get("service.ipc_bytes_out", 0) + counters.get(
+        "service.ipc_bytes_in", 0
+    )
+
+
 @pytest.fixture(scope="class")
-def shm_server():
-    """One process-executor server with the shm plane on (the default)."""
+def process_server():
+    """One process-executor server shared by the class (spawn is slow)."""
     config = ServerConfig(executor="process", process_workers=2)
     with start_background(config) as handle:
         yield handle
 
 
 class TestShmPlane:
-    def test_decisions_match_scratch_and_plane_engages(self, shm_server):
+    def test_decisions_match_scratch_and_plane_engages(self, process_server):
         insts = [_instance(seed=s, n=60) for s in (1, 2, 3)]
-        with ServiceClient(shm_server.host, shm_server.port) as client:
+        with ServiceClient(process_server.host, process_server.port) as client:
+            before = client.status()["metrics"]["counters"].get(
+                "service.resident_installs", 0
+            )
             for i, inst in enumerate(insts):
                 result = client.rebalance(inst, 3, shard=f"plane-{i}")
                 _same_decision(result, m_partition_rebalance(inst, 3))
             status = client.status()
-        shm = status["shm"]
-        assert shm is not None
-        assert shm["slots"] == 128
-        assert shm["assigned"] >= 3
-        assert status["metrics"]["counters"]["service.shm_writes"] >= 3
+        assert status["metrics"]["counters"]["service.resident_installs"] >= before + 3
+        for i in range(3):
+            assert status["residents"][f"plane-{i}"]["needs_install"] is False
 
-    def test_solve_request_bytes_independent_of_n(self, shm_server):
-        """The tentpole property: a solve crossing the worker pipe is a
-        slot reference, so its size must not scale with the snapshot.
-        The inline sizes array alone would be ``8n`` bytes; the whole
-        request must come in far under that."""
-        big = _instance(seed=10, n=4000)
-        with ServiceClient(shm_server.host, shm_server.port) as client:
-            before = client.status()["metrics"]["counters"][
-                "service.ipc_bytes_out"
-            ]
-            result = client.rebalance(big, 3, shard="bytes")
-            after = client.status()["metrics"]["counters"][
-                "service.ipc_bytes_out"
-            ]
-        _same_decision(result, m_partition_rebalance(big, 3))
-        assert after - before < 8 * big.num_jobs
+    def test_solve_request_bytes_independent_of_n(self, process_server):
+        """After one install, a steady delta solve crosses the worker
+        pipe as frames: its bytes (request and moves-only reply) stay
+        under ``8n`` — the inline sizes array alone — and flat across
+        n."""
+        per_solve = {}
+        for n in (2_000, 8_000):
+            res = ResidentShard(_instance(seed=10, n=n))
+            rng = np.random.default_rng(n)
+            with ServiceClient(
+                process_server.host, process_server.port, protocol="binary"
+            ) as client:
+                shard = f"bytes-{n}"
+                assert client.call({
+                    "op": "rebalance", "shard": shard, "k": 3,
+                    "moves_only": True,
+                    "instance": res.export_instance().to_wire(),
+                })["ok"]
+                idx = np.sort(rng.choice(n, size=8, replace=False))
+                delta = {
+                    "base": res.fp_hex, "idx": idx,
+                    "sizes": res.sizes[idx] * 1.5,
+                    "costs": res.costs[idx].copy(),
+                    "initial": res.initial[idx].copy(),
+                }
+                frame, fp = res.preview(delta)
+                res.commit(frame, fp)
+                before = _ipc_bytes(client.status()["metrics"]["counters"])
+                response = client.call({
+                    "op": "rebalance", "shard": shard, "k": 3,
+                    "moves_only": True, "delta": delta,
+                })
+                after = _ipc_bytes(client.status()["metrics"]["counters"])
+            assert response["ok"]
+            assert response["fingerprint"] == res.fp_hex
+            mapping = res.initial.copy()
+            mapping[np.asarray(response["moves_idx"], dtype=np.int64)] = (
+                np.asarray(response["moves_to"], dtype=np.int64)
+            )
+            want = m_partition_rebalance(res.export_instance(), 3)
+            np.testing.assert_array_equal(mapping, want.assignment.mapping)
+            per_solve[n] = after - before
+        assert per_solve[8_000] < 8 * 8_000
+        assert per_solve[8_000] <= 1.5 * per_solve[2_000]
 
-    def test_repeated_snapshot_written_once(self, shm_server):
+    def test_repeated_snapshot_written_once(self, process_server):
         inst = _instance(seed=11, n=50)
-        with ServiceClient(shm_server.host, shm_server.port) as client:
+        with ServiceClient(process_server.host, process_server.port) as client:
             counters = client.status()["metrics"]["counters"]
-            before = counters.get("service.shm_writes", 0)
+            before = counters.get("service.resident_installs", 0)
             client.rebalance(inst, 2, shard="once-a")
             client.rebalance(inst, 2, shard="once-b")
             client.rebalance(inst, 2, shard="once-a")
             counters = client.status()["metrics"]["counters"]
-        # Three requests, one fingerprint: one ring write.
-        assert counters["service.shm_writes"] == before + 1
+        # Three requests, two shards: one install per shard.
+        assert counters["service.resident_installs"] == before + 2
 
-    def test_status_reports_plane_accounting(self, shm_server):
-        with ServiceClient(shm_server.host, shm_server.port) as client:
-            client.rebalance(_instance(seed=12, n=40), 2, shard="acct")
-            shm = client.status()["shm"]
-        assert shm["assigned"] >= 1
-        assert shm["held"] >= 1           # the delta-base LRU hold
-        assert shm["pinned"] == 0         # nothing in flight now
-        assert shm["worker_retained"] >= 1  # the warm engine's borrow
+    def test_status_reports_plane_accounting(self, process_server):
+        inst = _instance(seed=12, n=40)
+        with ServiceClient(
+            process_server.host, process_server.port, protocol="binary"
+        ) as client:
+            response = client.call({
+                "op": "rebalance", "shard": "acct", "k": 2,
+                "instance": inst.to_wire(),
+            })
+            status = client.status()
+        resident = status["residents"]["acct"]
+        assert resident["fingerprint"] == response["fingerprint"]
+        assert resident["num_jobs"] == 40
+        assert resident["pending_frames"] == 0   # nothing parked
+        assert resident["needs_install"] is False  # the worker holds it
+        assert status["shards"]["acct"]["decisions"] >= 1
 
 
 class TestShmFallbacks:
     def test_disabled_plane_serves_inline(self):
+        """Without the warm engine there is no resident plane: every
+        solve ships its snapshot inline, and decides from scratch."""
         config = ServerConfig(
-            executor="process", process_workers=2, shm=False
+            executor="process", process_workers=2, use_engine=False
         )
         inst = _instance(seed=13, n=50)
         with start_background(config) as handle:
@@ -105,73 +152,39 @@ class TestShmFallbacks:
                 result = client.rebalance(inst, 3)
                 status = client.status()
         _same_decision(result, m_partition_rebalance(inst, 3))
-        assert status["shm"] is None
-        assert "service.shm_writes" not in status["metrics"]["counters"]
-
-    def test_oversize_snapshot_falls_back_inline(self):
-        # 10 jobs per slot: the 50-job snapshot cannot be published.
-        config = ServerConfig(
-            executor="process", process_workers=1,
-            shm_slots=4, shm_slot_bytes=16 + 24 * 10,
-        )
-        inst = _instance(seed=14, n=50)
-        small = _instance(seed=15, n=8)
-        with start_background(config) as handle:
-            with ServiceClient(handle.host, handle.port) as client:
-                result = client.rebalance(inst, 3, shard="big")
-                fits = client.rebalance(small, 2, shard="small")
-                counters = client.status()["metrics"]["counters"]
-        _same_decision(result, m_partition_rebalance(inst, 3))
-        _same_decision(fits, m_partition_rebalance(small, 2))
-        assert counters["service.shm_oversize"] >= 1
-        assert counters["service.shm_writes"] >= 1  # the small one
-
-    def test_ring_exhaustion_falls_back_inline(self):
-        """One slot, two live snapshots: the second cannot recycle the
-        first (it is held by the base LRU and retained by a worker
-        engine) and must travel inline — correctly."""
-        config = ServerConfig(
-            executor="process", process_workers=1, shm_slots=1
-        )
-        first = _instance(seed=16, n=40)
-        second = _instance(seed=17, n=40)
-        with start_background(config) as handle:
-            with ServiceClient(handle.host, handle.port) as client:
-                got_first = client.rebalance(first, 2, shard="full")
-                got_second = client.rebalance(second, 2, shard="full")
-                counters = client.status()["metrics"]["counters"]
-        _same_decision(got_first, m_partition_rebalance(first, 2))
-        _same_decision(got_second, m_partition_rebalance(second, 2))
-        assert counters["service.shm_full"] >= 1
-
-    def test_stale_segment_retries_inline(self):
-        """White box: desynchronize the plane's generation bookkeeping
-        from the ring header, so the worker's read fails validation and
-        the server re-sends that solve with inline arrays."""
-        from repro.core.engine import snapshot_fingerprint
-
-        config = ServerConfig(executor="process", process_workers=1)
-        inst = _instance(seed=18, n=40)
-        with start_background(config) as handle:
-            with ServiceClient(handle.host, handle.port) as client:
-                client.rebalance(inst, 2, shard="stale-a")
-                plane = handle.server._plane
-                slot = plane._slot_of[snapshot_fingerprint(inst).hex()]
-                plane._generations[slot] += 1  # ring header now stale
-                # A different shard forces a cold engine: no decision-
-                # cache shortcut, the worker must read the ring.
-                result = client.rebalance(inst, 2, shard="stale-b")
-                counters = client.status()["metrics"]["counters"]
-        _same_decision(result, m_partition_rebalance(inst, 2))
-        assert counters["service.shm_stale"] >= 1
+        counters = status["metrics"]["counters"]
+        assert status["residents"] is None
+        assert "service.resident_installs" not in counters
+        assert counters["service.ipc_bytes_out"] >= 8 * inst.num_jobs
 
     def test_reset_releases_base_holds(self):
+        """``reset`` drops a shard's delta bases and resident tip on the
+        event loop and its solve state in the worker: a delta against
+        the old fingerprint then bounces, and a full resend installs
+        afresh."""
         config = ServerConfig(executor="process", process_workers=1)
+        inst = _instance(seed=19, n=40)
         with start_background(config) as handle:
-            with ServiceClient(handle.host, handle.port) as client:
-                client.rebalance(_instance(seed=19, n=40), 2, shard="rel")
-                held_before = client.status()["shm"]["held"]
-                client.reset()
-                held_after = client.status()["shm"]["held"]
-        assert held_before >= 1
-        assert held_after == 0
+            with ServiceClient(
+                handle.host, handle.port, protocol="binary"
+            ) as client:
+                first = client.call({
+                    "op": "rebalance", "shard": "rel", "k": 2,
+                    "instance": inst.to_wire(),
+                })
+                assert "rel" in client.status()["residents"]
+                assert client.reset() == ["rel"]
+                status = client.status()
+                assert "rel" not in status["residents"]
+                assert status["shards"]["rel"]["decisions"] == 0
+                bounced = client.call({
+                    "op": "rebalance", "shard": "rel", "k": 2,
+                    "delta": {
+                        "base": first["fingerprint"], "idx": np.array([1]),
+                        "sizes": np.array([4.0]), "costs": np.array([1.0]),
+                        "initial": np.array([0]),
+                    },
+                })
+                again = client.rebalance(inst, 2, shard="rel")
+        assert bounced["error"] == "unknown base"
+        _same_decision(again, m_partition_rebalance(inst, 2))

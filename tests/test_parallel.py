@@ -245,31 +245,6 @@ def _pwp_bad_init() -> None:
     raise RuntimeError("init exploded")
 
 
-_PWP_RING = {}
-
-
-def _pwp_ring_attach(name: str, slots: int, slot_bytes: int) -> None:
-    from repro.parallel import SnapshotRing
-
-    _PWP_RING["ring"] = SnapshotRing.attach(name, slots, slot_bytes)
-
-
-def _pwp_ring_read(payload: bytes) -> bytes:
-    import json
-
-    request = json.loads(payload)
-    views = _PWP_RING["ring"].read(
-        request["slot"], request["gen"], request["n"]
-    )
-    if views is None:
-        return b"stale"
-    sizes, costs, initial = views
-    assert not sizes.flags.writeable
-    return json.dumps(
-        [sizes.tolist(), costs.tolist(), initial.tolist()]
-    ).encode()
-
-
 class TestPersistentWorkerPool:
     def test_echo_round_trip(self):
         from repro.parallel import PersistentWorkerPool
@@ -355,149 +330,3 @@ class TestPersistentWorkerPool:
 
         with pytest.raises(ValueError):
             PersistentWorkerPool(_pwp_echo, workers=0)
-
-
-# ----------------------------------------------------------------------
-# SnapshotRing: the shared-memory snapshot plane's storage layer
-# ----------------------------------------------------------------------
-class TestSnapshotRing:
-    def _arrays(self, n: int, seed: int = 0):
-        rng = np.random.default_rng(seed)
-        return (
-            rng.uniform(1.0, 9.0, n),
-            rng.uniform(0.5, 2.0, n),
-            rng.integers(0, 4, n),
-        )
-
-    def test_write_read_round_trip_zero_copy(self):
-        from repro.parallel import SnapshotRing
-
-        ring = SnapshotRing.create(slots=4, slot_bytes=4096)
-        try:
-            sizes, costs, initial = self._arrays(100)
-            ring.write(2, 1, sizes, costs, initial)
-            views = ring.read(2, 1, 100)
-            assert views is not None
-            np.testing.assert_array_equal(views[0], sizes)
-            np.testing.assert_array_equal(views[1], costs)
-            np.testing.assert_array_equal(views[2], initial)
-            for view in views:
-                assert not view.flags.writeable
-                assert view.base is not None  # aliases the shm pages
-            del view, views  # release the mapping before close()
-        finally:
-            ring.close()
-
-    def test_generation_mismatch_reads_none(self):
-        from repro.parallel import SnapshotRing
-
-        ring = SnapshotRing.create(slots=2, slot_bytes=4096)
-        try:
-            sizes, costs, initial = self._arrays(10)
-            ring.write(0, 1, sizes, costs, initial)
-            assert ring.read(0, 2, 10) is None       # recycled generation
-            assert ring.read(0, 1, 11) is None       # wrong length
-            assert ring.read(5, 1, 10) is None       # out-of-range slot
-            assert ring.read(1, 0, 10) is None       # never-written slot
-            assert ring.read(0, 1, 10) is not None   # the real coordinates
-        finally:
-            ring.close()
-
-    def test_rewrite_bumps_generation_and_invalidates(self):
-        from repro.parallel import SnapshotRing
-
-        ring = SnapshotRing.create(slots=1, slot_bytes=4096)
-        try:
-            first = self._arrays(8, seed=1)
-            second = self._arrays(8, seed=2)
-            ring.write(0, 1, *first)
-            ring.write(0, 2, *second)
-            assert ring.read(0, 1, 8) is None
-            views = ring.read(0, 2, 8)
-            np.testing.assert_array_equal(views[0], second[0])
-            del views  # release the mapping before close()
-        finally:
-            ring.close()
-
-    def test_fits_and_oversize_write_rejected(self):
-        from repro.parallel import SnapshotRing
-
-        # 16-byte header + 3 arrays * 8 bytes * n
-        ring = SnapshotRing.create(slots=1, slot_bytes=16 + 24 * 10)
-        try:
-            assert ring.fits(10)
-            assert not ring.fits(11)
-            with pytest.raises(ValueError, match="exceeds"):
-                ring.write(0, 1, *self._arrays(11))
-        finally:
-            ring.close()
-
-    def test_reader_cannot_write(self):
-        from repro.parallel import SnapshotRing
-
-        ring = SnapshotRing.create(slots=1, slot_bytes=4096)
-        try:
-            reader = SnapshotRing.attach(ring.name, 1, 4096)
-            try:
-                with pytest.raises(RuntimeError, match="owner"):
-                    reader.write(0, 1, *self._arrays(4))
-            finally:
-                reader.close()
-        finally:
-            ring.close()
-
-    def test_owner_close_unlinks_segment(self):
-        from multiprocessing import shared_memory
-
-        from repro.parallel import SnapshotRing
-
-        ring = SnapshotRing.create(slots=1, slot_bytes=64)
-        name = ring.name
-        ring.close()
-        ring.close()  # idempotent
-        with pytest.raises(FileNotFoundError):
-            shared_memory.SharedMemory(name=name)
-
-    def test_geometry_validated(self):
-        from repro.parallel import SnapshotRing
-
-        with pytest.raises(ValueError):
-            SnapshotRing.create(slots=0, slot_bytes=64)
-        with pytest.raises(ValueError):
-            SnapshotRing.create(slots=1, slot_bytes=16)
-        with pytest.raises(ValueError):
-            SnapshotRing.create(slots=1, slot_bytes=100)  # not 8-aligned
-
-    def test_cross_process_attach_and_generation_guard(self):
-        """A spawned worker attaches by name, reads the exact bytes the
-        owner wrote, and sees a recycled slot as ``None`` — the whole
-        reader-side contract the service's worker pool relies on."""
-        import json
-
-        from repro.parallel import PersistentWorkerPool, SnapshotRing
-
-        ring = SnapshotRing.create(slots=2, slot_bytes=4096)
-        try:
-            sizes, costs, initial = self._arrays(25, seed=3)
-            ring.write(1, 7, sizes, costs, initial)
-            with PersistentWorkerPool(
-                _pwp_ring_read, workers=1,
-                initializer=_pwp_ring_attach,
-                initargs=(ring.name, 2, 4096),
-            ) as pool:
-                reply = pool.request({
-                    0: json.dumps({"slot": 1, "gen": 7, "n": 25}).encode()
-                })[0]
-                got_sizes, got_costs, got_initial = json.loads(reply)
-                np.testing.assert_array_equal(got_sizes, sizes)
-                np.testing.assert_array_equal(got_costs, costs)
-                np.testing.assert_array_equal(got_initial, initial)
-                # Owner recycles the slot: the promised generation no
-                # longer matches, and the reader must refuse the view.
-                ring.write(1, 8, *self._arrays(25, seed=4))
-                reply = pool.request({
-                    0: json.dumps({"slot": 1, "gen": 7, "n": 25}).encode()
-                })[0]
-                assert reply == b"stale"
-        finally:
-            ring.close()

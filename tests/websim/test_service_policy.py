@@ -162,14 +162,11 @@ class TestTransportDifferential:
         finally:
             policy.close()
 
-    @pytest.mark.parametrize("shm", [True, False], ids=["shm", "inline"])
-    def test_process_executor_trajectory_identical(self, shm):
-        """Byte-identical through the process executor both over the
-        shared-memory snapshot plane and the inline codec path — the
-        shm plane is pure transport, never a different decision."""
-        config = ServerConfig(
-            executor="process", process_workers=2, shm=shm
-        )
+    def test_process_executor_trajectory_identical(self):
+        """Byte-identical through the process executor, whose workers
+        own the resident arrays and take deltas as frames — the worker
+        pipe is pure transport, never a different decision."""
+        config = ServerConfig(executor="process", process_workers=2)
         want = _simulation(EngineMPartitionPolicy(k=K), seed=35).run(EPOCHS)
         with start_background(config) as handle:
             got = self._trajectory(
@@ -179,12 +176,9 @@ class TestTransportDifferential:
             with ServiceClient(handle.host, handle.port) as probe:
                 status = probe.status()
         self._assert_identical(got, want)
-        if shm:
-            assert status["metrics"]["counters"].get(
-                "service.shm_writes", 0
-            ) > 0
-        else:
-            assert status["shm"] is None
+        assert status["metrics"]["counters"].get(
+            "service.resident_deltas", 0
+        ) > 0
 
 
 class TestServicePolicyMechanics:
