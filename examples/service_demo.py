@@ -9,8 +9,9 @@ micro-batcher.  This demo walks the whole loop:
 1. start a server in a background thread,
 2. solve one snapshot remotely and check it matches the in-process
    solver byte for byte (the service's core contract),
-3. fan out duplicate submissions with the async client and watch the
-   batcher collapse them into a single solve,
+3. fan out duplicate submissions of a snapshot the server has not
+   answered yet with the async client and watch the batcher collapse
+   them into a single solve,
 4. read the server's own account of all that from ``status``,
 5. run a short open-loop load-generation burst and print the report.
 
@@ -40,7 +41,10 @@ instance = make_instance(
     num_processors=8,
 )
 
-with start_background(ServerConfig()) as server:
+# The batch window closes early once six requests are in, so the whole
+# storm of step 2 lands in one batch; a straggler would be answered from
+# the response memo, which carries no batch annotation.
+with start_background(ServerConfig(max_batch=6, max_wait_ms=50.0)) as server:
     print(f"-- server listening on {server.host}:{server.port}\n")
 
     # 1. one remote solve, checked against the in-process solver ------
@@ -58,6 +62,14 @@ with start_background(ServerConfig()) as server:
         )
 
         # 2. duplicate submissions collapse into one solve ------------
+        # A fresh snapshot: one step 1 already answered would come back
+        # from the response memo without reaching the batcher.
+        fresh = make_instance(
+            sizes=instance.sizes * 1.5,
+            initial=remote.assignment.mapping,
+            num_processors=8,
+        )
+
         async def storm(copies: int = 6):
             clients = [
                 AsyncServiceClient(server.host, server.port)
@@ -65,7 +77,7 @@ with start_background(ServerConfig()) as server:
             ]
             try:
                 return await asyncio.gather(
-                    *(c.rebalance(instance, K, shard="demo") for c in clients)
+                    *(c.rebalance(fresh, K, shard="demo") for c in clients)
                 )
             finally:
                 for c in clients:

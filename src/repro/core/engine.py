@@ -14,8 +14,8 @@ instance and amortizes the solver state across them:
   (:class:`~repro.core.thresholds.ThresholdTables`) are kept between
   calls and patched via :func:`~repro.core.thresholds.patch_tables`:
   only the processors whose job composition changed are re-sorted,
-  ``O(changed · n_i log n_i)`` instead of the full ``O(n log n)``
-  Python bucketing pass.
+  ``O(changed · n_i log n_i)`` instead of the full build's
+  ``O(n log n)`` grouping sort.
 * **Threshold search** — :func:`~repro.core.thresholds.search_stop`
   finds the rescan's stop threshold by galloping and bisecting over
   guess values (the stop predicate is monotone, DESIGN.md Lemma M),

@@ -17,9 +17,8 @@ from __future__ import annotations
 
 import heapq
 
-import numpy as np
-
 from .instance import Instance
+from .thresholds import build_tables
 
 __all__ = [
     "average_load_bound",
@@ -48,18 +47,15 @@ def greedy_removal_bound(instance: Instance, k: int) -> float:
     on ``OPT(k)`` (reassigning the deleted jobs can only increase some
     processor's load).
 
-    Runs in ``O(n log n)``: jobs are pre-sorted per processor and a max
-    heap tracks processor loads.
+    Runs in ``O(n log n)``: each processor's sizes come ascending from
+    :func:`~repro.core.thresholds.build_tables`'s grouping sort, popped
+    from the top, and a max heap tracks processor loads.
     """
     if k < 0:
         raise ValueError("k must be non-negative")
     m = instance.num_processors
-    # Per-processor stacks of job sizes, largest on top.
-    stacks: list[list[float]] = [[] for _ in range(m)]
-    for j in range(instance.num_jobs):
-        stacks[int(instance.initial[j])].append(float(instance.sizes[j]))
-    for stack in stacks:
-        stack.sort()  # ascending; pop() yields the largest
+    stacks = [proc.sizes_asc for proc in build_tables(instance).processors]
+    tops = [stack.shape[0] for stack in stacks]
     loads = [float(x) for x in instance.initial_loads]
     # Max-heap of (-load, processor).
     heap = [(-loads[p], p) for p in range(m)]
@@ -69,12 +65,12 @@ def greedy_removal_bound(instance: Instance, k: int) -> float:
         neg_load, p = heapq.heappop(heap)
         if -neg_load != loads[p]:
             continue  # stale entry
-        if not stacks[p]:
+        if not tops[p]:
             # Most-loaded processor is empty => all processors empty.
             heapq.heappush(heap, (neg_load, p))
             break
-        largest = stacks[p].pop()
-        loads[p] -= largest
+        tops[p] -= 1
+        loads[p] -= float(stacks[p][tops[p]])
         heapq.heappush(heap, (-loads[p], p))
         removed += 1
     return max(loads) if loads else 0.0

@@ -128,25 +128,43 @@ class ThresholdTables:
         return sum(p.num_jobs - p.small_count(guess) for p in self.processors)
 
 
+def _group(
+    instance: Instance, jobs: np.ndarray, procs: np.ndarray
+) -> list[ProcessorTable]:
+    """Fresh tables for the processors ``procs`` (ascending), built
+    from ``jobs``, which must hold every job placed on them.
+
+    One lexsort groups the jobs by ``(processor, size, index)`` and one
+    ``searchsorted`` over the processor boundaries cuts the sorted run
+    into per-processor slices.  Each prefix is its bucket's own
+    ``cumsum``: a global cumsum minus offsets would round differently.
+    """
+    placed = instance.initial[jobs]
+    order = np.lexsort((jobs, instance.sizes[jobs], placed))
+    jobs_sorted = jobs[order]
+    sizes_sorted = instance.sizes[jobs_sorted]
+    starts, ends = np.searchsorted(placed[order], (procs, procs + 1))
+    return [
+        ProcessorTable(
+            jobs_asc=jobs_sorted[lo:hi],
+            sizes_asc=sizes_sorted[lo:hi],
+            prefix=np.concatenate(([0.0], np.cumsum(sizes_sorted[lo:hi]))),
+        )
+        for lo, hi in zip(starts.tolist(), ends.tolist())
+    ]
+
+
 def build_tables(instance: Instance) -> ThresholdTables:
     """Sort each processor's jobs and build prefix sums.
 
-    ``O(n log n)`` total, matching the first-run cost in Theorem 3.
+    ``O(n log n)`` total, matching the first-run cost in Theorem 3: one
+    grouping sort over all jobs (:func:`_group`).
     """
-    order = np.lexsort((np.arange(instance.num_jobs), instance.sizes))
-    # Bucket the globally sorted jobs by processor; each bucket stays
-    # sorted ascending by (size, index).
-    buckets: list[list[int]] = [[] for _ in range(instance.num_processors)]
-    for j in order:
-        buckets[int(instance.initial[j])].append(int(j))
-    processors = []
-    for bucket in buckets:
-        jobs_asc = np.asarray(bucket, dtype=np.int64)
-        sizes_asc = instance.sizes[jobs_asc] if bucket else np.empty(0)
-        prefix = np.concatenate(([0.0], np.cumsum(sizes_asc)))
-        processors.append(
-            ProcessorTable(jobs_asc=jobs_asc, sizes_asc=sizes_asc, prefix=prefix)
-        )
+    processors = _group(
+        instance,
+        np.arange(instance.num_jobs, dtype=np.int64),
+        np.arange(instance.num_processors, dtype=np.int64),
+    )
     return ThresholdTables(instance=instance, processors=tuple(processors))
 
 
@@ -157,11 +175,10 @@ def patch_tables(
 
     Compares ``instance`` against ``tables.instance`` job by job; only
     the processors that gained, lost or resized a job get their
-    ascending order and prefix sums rebuilt.  The rebuild of the
-    affected buckets is one vectorized lexsort over the affected jobs —
-    ``O(changed_jobs * log(changed_jobs))`` plus ``O(n)`` for the diff
-    masks — instead of :func:`build_tables`'s full ``O(n)`` Python
-    bucketing pass.
+    ascending order and prefix sums rebuilt, by the same grouping sort
+    :func:`build_tables` runs over all jobs, here over the affected
+    buckets' jobs only — ``O(a log a)`` for ``a`` affected jobs, plus
+    ``O(n)`` numpy passes for the diff masks.
 
     Returns ``(new_tables, buckets_patched)``.  Falls back to a full
     :func:`build_tables` (returning ``buckets_patched == -1``) when the
@@ -189,27 +206,11 @@ def patch_tables(
     affected_mask = np.zeros(instance.num_processors, dtype=bool)
     affected_mask[changed_procs] = True
     affected_jobs = np.flatnonzero(affected_mask[instance.initial])
-    # One sort groups every affected job by (processor, size, index) —
-    # the exact per-bucket order build_tables produces.
-    order = np.lexsort(
-        (
-            affected_jobs,
-            instance.sizes[affected_jobs],
-            instance.initial[affected_jobs],
-        )
-    )
-    sorted_jobs = affected_jobs[order]
-    sorted_procs = instance.initial[sorted_jobs]
-    starts = np.searchsorted(sorted_procs, changed_procs, side="left")
-    ends = np.searchsorted(sorted_procs, changed_procs, side="right")
     processors = list(tables.processors)
-    for p, lo, hi in zip(changed_procs, starts, ends):
-        jobs_asc = sorted_jobs[lo:hi]
-        sizes_asc = instance.sizes[jobs_asc] if hi > lo else np.empty(0)
-        prefix = np.concatenate(([0.0], np.cumsum(sizes_asc)))
-        processors[int(p)] = ProcessorTable(
-            jobs_asc=jobs_asc, sizes_asc=sizes_asc, prefix=prefix
-        )
+    for p, table in zip(
+        changed_procs.tolist(), _group(instance, affected_jobs, changed_procs)
+    ):
+        processors[p] = table
     return (
         ThresholdTables(instance=instance, processors=tuple(processors)),
         int(changed_procs.shape[0]),

@@ -29,12 +29,13 @@ from ..conftest import instances_with_k, small_instances
 
 
 def assert_tables_equal(actual, expected):
-    """Structural equality of two ThresholdTables."""
+    """Byte equality of two ThresholdTables, dtypes included."""
     assert len(actual.processors) == len(expected.processors)
     for pa, pe in zip(actual.processors, expected.processors):
-        assert np.array_equal(pa.jobs_asc, pe.jobs_asc)
-        assert np.array_equal(pa.sizes_asc, pe.sizes_asc)
-        assert np.array_equal(pa.prefix, pe.prefix)
+        for name in ("jobs_asc", "sizes_asc", "prefix"):
+            a, e = getattr(pa, name), getattr(pe, name)
+            assert a.dtype == e.dtype and a.shape == e.shape, name
+            assert a.tobytes() == e.tobytes(), name
 
 
 def assert_same_decision(a, b):

@@ -1,10 +1,12 @@
 """Tests for the OPT lower bounds, including Lemma 1's G1 bound."""
 
+import heapq
 import itertools
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core import (
     average_load_bound,
@@ -29,6 +31,47 @@ def brute_force_removal_bound(inst, k):
                 loads[inst.initial[j]] += inst.sizes[j]
         best = min(best, loads.max())
     return best
+
+
+def loop_removal_bound(inst, k):
+    """G1 by per-processor Python stacks, one append per job: the
+    reference the table-based bound must match float for float."""
+    m = inst.num_processors
+    stacks = [[] for _ in range(m)]
+    for j in range(inst.num_jobs):
+        stacks[int(inst.initial[j])].append(float(inst.sizes[j]))
+    for stack in stacks:
+        stack.sort()
+    loads = [float(x) for x in inst.initial_loads]
+    heap = [(-loads[p], p) for p in range(m)]
+    heapq.heapify(heap)
+    removed = 0
+    while removed < k:
+        neg_load, p = heapq.heappop(heap)
+        if -neg_load != loads[p]:
+            continue
+        if not stacks[p]:
+            break
+        loads[p] -= stacks[p].pop()
+        heapq.heappush(heap, (-loads[p], p))
+        removed += 1
+    return max(loads) if loads else 0.0
+
+
+@st.composite
+def float_removal_cases(draw):
+    """Float sizes from a small pool (ties, rounding sums), empty
+    processors, and ``k`` past ``n``."""
+    n = draw(st.integers(min_value=0, max_value=25))
+    m = draw(st.integers(min_value=1, max_value=8))
+    pool = draw(st.lists(
+        st.floats(min_value=1e-3, max_value=1e3, allow_nan=False),
+        min_size=1, max_size=4,
+    ))
+    sizes = draw(st.lists(st.sampled_from(pool), min_size=n, max_size=n))
+    initial = draw(st.lists(st.integers(0, m - 1), min_size=n, max_size=n))
+    k = draw(st.integers(min_value=0, max_value=n + 2))
+    return make_instance(sizes=sizes, initial=initial, num_processors=m), k
 
 
 class TestStructuralBounds:
@@ -61,6 +104,12 @@ class TestGreedyRemovalBound:
         inst = make_instance(sizes=[1.0], initial=[0])
         with pytest.raises(ValueError):
             greedy_removal_bound(inst, -1)
+
+    @settings(max_examples=200, deadline=None)
+    @given(float_removal_cases())
+    def test_float_identical_to_loop_reference(self, case):
+        inst, k = case
+        assert greedy_removal_bound(inst, k) == loop_removal_bound(inst, k)
 
     @settings(max_examples=30, deadline=None)
     @given(instances_with_k(max_jobs=7, max_processors=3))

@@ -1,8 +1,10 @@
 """Tests for threshold enumeration (Section 3.1, Lemma 5)."""
 
+import sys
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.core import build_tables, candidate_guesses, evaluate_guess, make_instance
@@ -78,6 +80,78 @@ class TestProcessorTables:
                 proc = tables.processors[p]
                 assert proc.a_value(guess) == brute_a_value(inst, p, guess)
                 assert proc.b_value(guess) == brute_b_value(inst, p, guess)
+
+
+@st.composite
+def grouping_cases(draw):
+    """Integer sizes 1-4 (many ties), ``n`` from 0 and ``m`` up to
+    twice ``n`` (empty processors)."""
+    n = draw(st.integers(min_value=0, max_value=30))
+    m = draw(st.integers(min_value=1, max_value=2 * n + 2))
+    sizes = draw(st.lists(st.integers(1, 4), min_size=n, max_size=n))
+    initial = draw(st.lists(st.integers(0, m - 1), min_size=n, max_size=n))
+    return make_instance(sizes=sizes, initial=initial, num_processors=m)
+
+
+def reference_tables(inst):
+    """Each processor's jobs by Python ``sorted`` on ``(size, index)``,
+    with that bucket's own ``cumsum``."""
+    buckets = []
+    for p in range(inst.num_processors):
+        jobs = sorted(
+            (j for j in range(inst.num_jobs) if inst.initial[j] == p),
+            key=lambda j: (float(inst.sizes[j]), j),
+        )
+        jobs_asc = np.array(jobs, dtype=np.int64)
+        sizes_asc = inst.sizes[jobs_asc]
+        prefix = np.concatenate(([0.0], np.cumsum(sizes_asc)))
+        buckets.append((jobs_asc, sizes_asc, prefix))
+    return buckets
+
+
+def _calls_during(fn):
+    """Python and C function calls made while ``fn`` runs."""
+    calls = 0
+
+    def profile(frame, event, arg):
+        nonlocal calls
+        calls += event in ("call", "c_call")
+
+    sys.setprofile(profile)
+    try:
+        fn()
+    finally:
+        sys.setprofile(None)
+    return calls
+
+
+class TestGrouping:
+    @settings(max_examples=200, deadline=None)
+    @given(grouping_cases())
+    @example(make_instance(sizes=[], initial=[], num_processors=3))
+    @example(make_instance(sizes=[2, 1, 2], initial=[4, 4, 0], num_processors=9))
+    def test_matches_python_sorted_reference(self, inst):
+        tables = build_tables(inst)
+        assert len(tables.processors) == inst.num_processors
+        for proc, ref in zip(tables.processors, reference_tables(inst)):
+            got = (proc.jobs_asc, proc.sizes_asc, proc.prefix)
+            assert [a.dtype for a in got] == [np.int64, np.float64, np.float64]
+            for a, e in zip(got, ref):
+                assert a.shape == e.shape and a.tobytes() == e.tobytes()
+
+    def test_no_per_job_python_calls(self):
+        """A full build makes the same calls at n = 10^3 and 10^4:
+        nothing in it runs once per job."""
+        rng = np.random.default_rng(7)
+        counts = []
+        for n in (1_000, 10_000):
+            inst = make_instance(
+                sizes=rng.integers(1, 100, n).astype(float),
+                initial=rng.integers(0, 16, n),
+                num_processors=16,
+            )
+            counts.append(_calls_during(lambda: build_tables(inst)))
+        assert counts[0] == counts[1]
 
 
 class TestCandidateGuesses:

@@ -79,14 +79,16 @@ class TestRebalanceOp:
                 result = client.rebalance(inst, 2)
         _same_decision(result, m_partition_rebalance(inst, 2))
 
-    def test_concurrent_identical_requests_deduped(self, server):
+    def test_concurrent_identical_requests_deduped(self):
         """Duplicate snapshots in flight together collapse into one
         solve: every response is identical and at least one batch
-        reports fewer unique solves than its size."""
+        reports fewer unique solves than its size.  The batch window
+        closes at exactly the eight clients, so none of them arrives
+        after the first batch and gets an annotation-free memo hit."""
         inst = _instance(seed=7)
         scratch = m_partition_rebalance(inst, 2)
 
-        async def go():
+        async def go(server):
             clients = [
                 AsyncServiceClient(server.host, server.port)
                 for _ in range(8)
@@ -99,7 +101,9 @@ class TestRebalanceOp:
                 for c in clients:
                     await c.close()
 
-        results = asyncio.run(go())
+        config = ServerConfig(max_batch=8, max_wait_ms=10_000.0)
+        with start_background(config) as server:
+            results = asyncio.run(go(server))
         for result in results:
             _same_decision(result, scratch)
         batches = [r.meta["service"]["batch"] for r in results]
