@@ -10,8 +10,9 @@ micro-batcher.  This demo walks the whole loop:
 2. solve one snapshot remotely and check it matches the in-process
    solver byte for byte (the service's core contract),
 3. fan out duplicate submissions of a snapshot the server has not
-   answered yet with the async client and watch the batcher collapse
-   them into a single solve,
+   answered yet with the async client, while a solve on another shard
+   is in flight, and watch the batcher collapse them into a single
+   solve,
 4. read the server's own account of all that from ``status``,
 5. run a short open-loop load-generation burst and print the report.
 
@@ -41,10 +42,11 @@ instance = make_instance(
     num_processors=8,
 )
 
-# The batch window closes early once six requests are in, so the whole
-# storm of step 2 lands in one batch; a straggler would be answered from
-# the response memo, which carries no batch annotation.
-with start_background(ServerConfig(max_batch=6, max_wait_ms=50.0)) as server:
+# Every solve sleeps 0.3 s on the solve thread (a synthetic service-time
+# floor), so the storm of step 2 queues behind a solve on another shard
+# and the batcher takes it as one batch; a straggler would be answered
+# from the response memo, which carries no batch annotation.
+with start_background(ServerConfig(solve_delay_s=0.3)) as server:
     print(f"-- server listening on {server.host}:{server.port}\n")
 
     # 1. one remote solve, checked against the in-process solver ------
@@ -71,16 +73,25 @@ with start_background(ServerConfig(max_batch=6, max_wait_ms=50.0)) as server:
         )
 
         async def storm(copies: int = 6):
+            blocker = AsyncServiceClient(server.host, server.port)
             clients = [
                 AsyncServiceClient(server.host, server.port)
                 for _ in range(copies)
             ]
             try:
-                return await asyncio.gather(
+                # Occupy the solve plane with another shard's solve;
+                # the duplicates arrive while it runs.
+                blocking = asyncio.ensure_future(
+                    blocker.rebalance(instance, K, shard="blocker")
+                )
+                await asyncio.sleep(0.1)
+                results = await asyncio.gather(
                     *(c.rebalance(fresh, K, shard="demo") for c in clients)
                 )
+                await blocking
+                return results
             finally:
-                for c in clients:
+                for c in (blocker, *clients):
                     await c.close()
 
         results = asyncio.run(storm())

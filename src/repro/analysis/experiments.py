@@ -1065,9 +1065,7 @@ def experiment_e16_shm(
         base, num_sites=600, rate=steady_rate, duration_s=duration_s,
         deadline_ms=100.0, connections=4,
     )
-    steady_server = ServerConfig(
-        executor="process", process_workers=2, max_wait_ms=0.0
-    )
+    steady_server = ServerConfig(executor="process", process_workers=2)
     run, alive, counters = _e16_run(steady_server, steady_lg)
     report.add_row(
         "steady state (n=600, memo fast path)",

@@ -473,7 +473,7 @@ def bench_e16(params: dict[str, Any], log: Log):
 
     # --- part 3: the quiet-cluster response-memo fast path.
     steady_leg, steady_alive, steady_status = primed_run(
-        ServerConfig(executor="process", process_workers=2, max_wait_ms=0.0),
+        ServerConfig(executor="process", process_workers=2),
         replace(base, num_sites=steady_sites, rate=steady_rate,
                 duration_s=duration_s, deadline_ms=steady_deadline_ms,
                 connections=4),

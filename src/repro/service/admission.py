@@ -126,27 +126,19 @@ class AdmissionQueue:
         """Wait for the next admitted request (FIFO)."""
         return await self._queue.get()
 
-    def drain_nowait(self) -> list[PendingRequest]:
-        """Empty the queue without waiting (server shutdown path)."""
-        drained: list[PendingRequest] = []
-        while True:
-            try:
-                drained.append(self._queue.get_nowait())
-            except asyncio.QueueEmpty:
-                return drained
-
-    async def get_nowait_or_wait(self, timeout: float) -> PendingRequest | None:
-        """Next request, or ``None`` once ``timeout`` elapses."""
+    def get_nowait(self) -> PendingRequest | None:
+        """The next admitted request if one is queued, else ``None``."""
         try:
             return self._queue.get_nowait()
         except asyncio.QueueEmpty:
-            pass
-        if timeout <= 0:
             return None
-        try:
-            return await asyncio.wait_for(self._queue.get(), timeout)
-        except asyncio.TimeoutError:
-            return None
+
+    def drain_nowait(self) -> list[PendingRequest]:
+        """Empty the queue without waiting (server shutdown path)."""
+        drained: list[PendingRequest] = []
+        while (request := self.get_nowait()) is not None:
+            drained.append(request)
+        return drained
 
     # ------------------------------------------------------------------
     def shed_expired(

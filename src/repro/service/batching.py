@@ -1,9 +1,11 @@
 """Dynamic micro-batching for the rebalancing service.
 
-The same shape an inference-serving stack uses: requests accumulate in
-the admission queue for at most ``max_wait_ms`` (or until ``max_batch``
-are in hand), then the whole batch is solved in one executor hop.
-Batching wins twice here:
+Dispatch on idle: the batcher waits only for the first request, then
+takes whatever else is already queued (up to ``max_batch``) without
+waiting, and the whole batch is solved in one executor hop.  No request
+ever waits for company: an idle server dispatches at once, and requests
+that arrive while a batch is solving collect in the admission queue and
+form the next batch.  Under load, batching wins twice:
 
 * **Fingerprint dedupe** — many frontends observing one cluster epoch
   submit byte-identical snapshots within milliseconds of each other.
@@ -29,7 +31,6 @@ Counters: ``service.batches``, ``service.deduped``; histogram
 
 from __future__ import annotations
 
-import asyncio
 from dataclasses import dataclass, field
 
 from .. import telemetry
@@ -43,21 +44,18 @@ __all__ = ["BatchConfig", "MicroBatcher", "ShardLane", "UniqueSolve"]
 class BatchConfig:
     """Knobs of the micro-batcher.
 
-    ``max_batch`` bounds how many requests one solve pass may serve;
-    ``max_wait_ms`` bounds how long the first request of a batch may
-    wait for company; ``dedupe=False`` disables snapshot collapsing
+    ``max_batch`` bounds how many queued requests one solve pass may
+    serve (there is no wait: a batch is what queued up while the
+    previous one solved); ``dedupe=False`` disables snapshot collapsing
     (every request gets its own solve — the naive baseline).
     """
 
     max_batch: int = 16
-    max_wait_ms: float = 2.0
     dedupe: bool = True
 
     def __post_init__(self) -> None:
         if self.max_batch <= 0:
             raise ValueError("max_batch must be positive")
-        if self.max_wait_ms < 0:
-            raise ValueError("max_wait_ms must be non-negative")
 
 
 @dataclass
@@ -104,18 +102,11 @@ class MicroBatcher:
         self.metrics = metrics
 
     async def next_batch(self) -> list[PendingRequest]:
-        """Block for the next batch: the first request opens a window
-        of ``max_wait_ms`` that closes early at ``max_batch``."""
-        first = await self.queue.get()
-        batch = [first]
-        if self.config.max_batch == 1:
-            return batch
-        loop = asyncio.get_running_loop()
-        window_closes = loop.time() + self.config.max_wait_ms / 1e3
+        """Wait for the first request, then add whatever is already
+        queued, up to ``max_batch``, without waiting."""
+        batch = [await self.queue.get()]
         while len(batch) < self.config.max_batch:
-            request = await self.queue.get_nowait_or_wait(
-                window_closes - loop.time()
-            )
+            request = self.queue.get_nowait()
             if request is None:
                 break
             batch.append(request)

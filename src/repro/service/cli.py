@@ -63,10 +63,6 @@ def _server_arguments(parser: argparse.ArgumentParser) -> None:
         help="micro-batch size ceiling",
     )
     parser.add_argument(
-        "--max-wait-ms", type=float, default=2.0,
-        help="micro-batch accumulation window",
-    )
-    parser.add_argument(
         "--max-queue", type=int, default=128,
         help="admission queue depth (requests beyond it are rejected)",
     )
@@ -109,9 +105,7 @@ def _config_from(args: argparse.Namespace) -> ServerConfig:
     )
     if args.naive:
         return ServerConfig.naive(**common)
-    return ServerConfig(
-        max_batch=args.max_batch, max_wait_ms=args.max_wait_ms, **common
-    )
+    return ServerConfig(max_batch=args.max_batch, **common)
 
 
 def serve_main(argv: list[str] | None = None) -> int:

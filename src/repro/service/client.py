@@ -408,7 +408,9 @@ class ServiceClient:
                     )
                 continue
             return response
-        assert last_error is not None
+        if last_error is None:
+            # Only a negative budget skips every attempt.
+            raise ValueError(f"retries must be non-negative, got {self.retries}")
         raise last_error
 
     def call_encoded(
@@ -633,7 +635,9 @@ class AsyncServiceClient:
                     )
                 continue
             return response
-        assert last_error is not None
+        if last_error is None:
+            # Only a negative budget skips every attempt.
+            raise ValueError(f"retries must be non-negative, got {self.retries}")
         raise last_error
 
     async def call_encoded(

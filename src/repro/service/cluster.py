@@ -477,7 +477,8 @@ class ClusterRouter:
     async def serve_forever(self) -> None:
         if self._server is None:
             await self.start()
-        assert self._stop_event is not None
+        if self._stop_event is None:
+            raise RuntimeError("router is not started")
         try:
             await self._stop_event.wait()
         finally:

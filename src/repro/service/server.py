@@ -110,7 +110,6 @@ class ServerConfig:
     host: str = "127.0.0.1"
     port: int = 0  # 0 = let the OS pick; read it back from Server.port
     max_batch: int = 16
-    max_wait_ms: float = 2.0
     dedupe: bool = True
     use_engine: bool = True
     max_queue: int = 128
@@ -167,7 +166,6 @@ class ServerConfig:
     def as_dict(self) -> dict[str, Any]:
         return {
             "max_batch": self.max_batch,
-            "max_wait_ms": self.max_wait_ms,
             "dedupe": self.dedupe,
             "use_engine": self.use_engine,
             "max_queue": self.max_queue,
@@ -487,7 +485,6 @@ class RebalanceServer:
             self.queue,
             BatchConfig(
                 max_batch=self.config.max_batch,
-                max_wait_ms=self.config.max_wait_ms,
                 dedupe=self.config.dedupe,
             ),
             self.metrics,

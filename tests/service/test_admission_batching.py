@@ -153,8 +153,6 @@ class TestBatchConfig:
     def test_validation(self):
         with pytest.raises(ValueError):
             BatchConfig(max_batch=0)
-        with pytest.raises(ValueError):
-            BatchConfig(max_wait_ms=-1.0)
 
 
 class TestMicroBatcher:
@@ -166,7 +164,7 @@ class TestMicroBatcher:
     def test_batch_closes_at_max_batch(self):
         async def go():
             loop = asyncio.get_running_loop()
-            batcher, queue = self._batcher(max_batch=3, max_wait_ms=1000.0)
+            batcher, queue = self._batcher(max_batch=3)
             for _ in range(5):
                 queue.try_submit(_request(loop))
             batch = await batcher.next_batch()
@@ -175,22 +173,29 @@ class TestMicroBatcher:
 
         run(go)
 
-    def test_batch_closes_at_window(self):
+    def test_batch_takes_queued_without_suspending(self):
+        """With requests queued, ``next_batch`` completes on its first
+        step: it never waits for company that has not arrived."""
         async def go():
             loop = asyncio.get_running_loop()
-            batcher, queue = self._batcher(max_batch=64, max_wait_ms=10.0)
-            queue.try_submit(_request(loop))
-            start = loop.time()
-            batch = await batcher.next_batch()
-            assert len(batch) == 1
-            assert loop.time() - start < 5.0  # closed by window, not hang
+            batcher, queue = self._batcher(max_batch=64)
+            for _ in range(3):
+                queue.try_submit(_request(loop))
+            coro = batcher.next_batch()
+            try:
+                with pytest.raises(StopIteration) as done:
+                    coro.send(None)
+            finally:
+                coro.close()
+            assert len(done.value.value) == 3
+            assert queue.depth == 0
 
         run(go)
 
     def test_max_batch_one_skips_window(self):
         async def go():
             loop = asyncio.get_running_loop()
-            batcher, queue = self._batcher(max_batch=1, max_wait_ms=1000.0)
+            batcher, queue = self._batcher(max_batch=1)
             queue.try_submit(_request(loop))
             batch = await batcher.next_batch()
             assert len(batch) == 1

@@ -167,6 +167,20 @@ class TestOverloadedHint:
         finally:
             server.close()
 
+    def test_negative_retries_raise_value_error(self):
+        """A negative budget makes no attempt: an explicit error, not
+        an ``assert`` that ``python -O`` strips."""
+        port = _dead_port()
+        with pytest.raises(ValueError, match="retries"):
+            ServiceClient("127.0.0.1", port, retries=-1).call({"op": "ping"})
+
+        async def go():
+            client = AsyncServiceClient("127.0.0.1", port, retries=-1)
+            with pytest.raises(ValueError, match="retries"):
+                await client.call({"op": "ping"})
+
+        asyncio.run(go())
+
 
 class TestAsyncReset:
     def test_reset_clears_server_shard_and_local_base(self):

@@ -41,6 +41,42 @@ def _same_decision(result, scratch):
     assert result.planned_moves == scratch.planned_moves
 
 
+def _storm_behind_a_solve(inst, copies: int):
+    """Send ``copies`` identical requests for ``inst`` to a fresh
+    server while a solve on another shard is in flight.
+
+    Every solve sleeps 0.3 s on the solve thread, so the storm lands in
+    the admission queue behind the blocking solve and the batcher takes
+    it as one batch once the solve plane is free."""
+
+    async def go(handle):
+        blocker = AsyncServiceClient(handle.host, handle.port)
+        clients = [
+            AsyncServiceClient(handle.host, handle.port)
+            for _ in range(copies)
+        ]
+        try:
+            blocking = asyncio.ensure_future(
+                blocker.rebalance(_instance(seed=99), 2, shard="blocker")
+            )
+            # Wait until the blocker's batch is planned (bounded: 2 s).
+            for _ in range(400):
+                if handle.server.metrics.counters.get("service.batches"):
+                    break
+                await asyncio.sleep(0.005)
+            results = await asyncio.gather(
+                *(c.rebalance(inst, 2) for c in clients)
+            )
+            await blocking
+            return results
+        finally:
+            for c in (blocker, *clients):
+                await c.close()
+
+    with start_background(ServerConfig(solve_delay_s=0.3)) as handle:
+        return asyncio.run(go(handle))
+
+
 @pytest.fixture()
 def server():
     with start_background(ServerConfig()) as handle:
@@ -82,32 +118,24 @@ class TestRebalanceOp:
     def test_concurrent_identical_requests_deduped(self):
         """Duplicate snapshots in flight together collapse into one
         solve: every response is identical and at least one batch
-        reports fewer unique solves than its size.  The batch window
-        closes at exactly the eight clients, so none of them arrives
-        after the first batch and gets an annotation-free memo hit."""
+        reports fewer unique solves than its size."""
         inst = _instance(seed=7)
         scratch = m_partition_rebalance(inst, 2)
-
-        async def go(server):
-            clients = [
-                AsyncServiceClient(server.host, server.port)
-                for _ in range(8)
-            ]
-            try:
-                return await asyncio.gather(
-                    *(c.rebalance(inst, 2) for c in clients)
-                )
-            finally:
-                for c in clients:
-                    await c.close()
-
-        config = ServerConfig(max_batch=8, max_wait_ms=10_000.0)
-        with start_background(config) as server:
-            results = asyncio.run(go(server))
+        results = _storm_behind_a_solve(inst, 8)
         for result in results:
             _same_decision(result, scratch)
         batches = [r.meta["service"]["batch"] for r in results]
         assert any(b["unique"] < b["size"] for b in batches)
+
+    def test_requests_queued_during_a_solve_form_one_batch(self):
+        """There is no batch window: requests that arrive while another
+        shard's solve holds the solve plane queue up and the batcher
+        takes all of them, as one batch with one unique solve."""
+        inst = _instance(seed=8)
+        results = _storm_behind_a_solve(inst, 8)
+        for result in results:
+            batch = result.meta["service"]["batch"]
+            assert (batch["size"], batch["unique"]) == (8, 1)
 
     def test_expired_deadline_is_shed(self, server):
         with ServiceClient(server.host, server.port, retries=0) as client:
